@@ -373,10 +373,9 @@ def _signal_lambda_eff(frame: FusionFrame, x: BlockVector) -> float:
     return lambda_eff(incoherence(frame), BlockSupport(active))
 
 
-def _run_cell(spec: ExperimentSpec, cell: dict) -> list[TrialRecord]:
+def _run_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
     if cell["m"] < 1:
         return []
-    frame = _group_frame(spec, cell)
     cfg = SolverConfig(success_rel_err=spec.success_rel_err)
     if spec.name == "certificate_audit":
         return _run_audit_cell(spec, cell, frame, cfg)
@@ -591,13 +590,13 @@ def _run_trend_group(args) -> list[TrialRecord]:
     indices (and therefore seeds) are fixed by the full grid, so the rows are
     identical to what a full sweep would have produced for the visited cells.
     """
-    spec, cells = args
+    spec, cells, frame = args
     needed = math.ceil(spec.success_threshold * spec.trials - 1e-9)
     rows: list[TrialRecord] = []
     for cell in sorted(cells, key=lambda c: c["m"]):
         if cell["m"] < 1:
             continue
-        cell_rows = _run_cell(spec, cell)
+        cell_rows = _run_cell(spec, cell, frame)
         rows.extend(cell_rows)
         if sum(r.success for r in cell_rows) >= needed:
             break
@@ -615,15 +614,21 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     """
     validate_spec(spec)
     cells = _cells(spec)
+    # one frame (and its cached incoherence) per group, shared by its cells
+    frames: dict[int, FusionFrame] = {}
+    for cell in cells:
+        if cell["m"] >= 1 and cell["group"] not in frames:
+            frames[cell["group"]] = _group_frame(spec, cell)
     if spec.name == "m_vs_lambda_eff":
         # minimal-m search per group: ascending m with early stop
         groups: dict[int, list[dict]] = {}
         for cell in cells:
             groups.setdefault(cell["group"], []).append(cell)
-        jobs = [(spec, group_cells) for _, group_cells in sorted(groups.items())]
+        jobs = [(spec, group_cells, frames[g_idx])
+                for g_idx, group_cells in sorted(groups.items()) if g_idx in frames]
         worker = _run_trend_group
     else:
-        jobs = [(spec, cell) for cell in cells if cell["m"] >= 1]
+        jobs = [(spec, cell, frames[cell["group"]]) for cell in cells if cell["m"] >= 1]
         worker = _run_cell_job
 
     if threads > 1 and len(jobs) > 1:

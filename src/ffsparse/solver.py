@@ -12,6 +12,12 @@ equality-constrained program alternates that prox with an exact affine
 projection; the noisy program replaces the affine projection with the
 projection onto the residual ball.  The contract is the returned minimizer,
 not the iteration.
+
+Each solve factors its linear operator once, before the loop: the equality
+program takes one thin SVD of the coefficient matrix and projects through
+its row-space basis; the noisy program forms the dense inverse of
+I + M^T M, so its c-update is a single matvec.  The loops themselves make
+plain array operations only.
 """
 
 from __future__ import annotations
@@ -81,12 +87,17 @@ def relative_error(x_hat: BlockVector, x_true: BlockVector) -> float:
     return diff / denom if denom > 0 else float(np.linalg.norm(x_hat.blocks))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array; same bits as np.linalg.norm."""
+    return math.sqrt(v @ v)
+
+
 def _block_soft_threshold(v: np.ndarray, block_len: int, tau: float) -> np.ndarray:
-    """Prox of tau * ||.||_{2,1} on a flat vector split into blocks."""
+    """Prox of tau * ||.||_{2,1} on a flat vector split into blocks: block j
+    is scaled by 1 - tau / max(||v_j||, tau), which is 0 when ||v_j|| <= tau."""
     blocks = v.reshape(-1, block_len)
-    norms = np.linalg.norm(blocks, axis=1)
-    factor = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
-    factor[norms == 0] = 0.0
+    norms = np.sqrt(np.add.reduce(blocks * blocks, axis=1))
+    factor = 1.0 - tau / np.maximum(norms, tau)
     return (blocks * factor[:, None]).ravel()
 
 
@@ -105,16 +116,38 @@ def _balance_penalty(rho, r_norm, s_norm):
     return rho, 1.0
 
 
+def _affine_projector(matrix: np.ndarray, b: np.ndarray):
+    """(V_r, V_r^T, beta) for the projection onto {c : M c = b} (onto its
+    least-squares set when b is inconsistent): V_r (n x r) spans the row
+    space of M and beta = S_r^-1 U_r^T b, from one thin SVD with
+    np.linalg.pinv's rank cutoff (singular values above 1e-15 * sigma_max)."""
+    u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
+    rank = int(np.count_nonzero(sing > 1e-15 * sing.max()))
+    vt_r = np.ascontiguousarray(vt[:rank])
+    beta = (u[:, :rank].T @ b) / sing[:rank]
+    return np.ascontiguousarray(vt_r.T), vt_r, beta
+
+
+def _project_affine(v: np.ndarray, v_r: np.ndarray, vt_r: np.ndarray,
+                    beta: np.ndarray) -> np.ndarray:
+    """(I - pinv(M) M) v + pinv(M) b as v - V_r (V_r^T v - beta)."""
+    return v - v_r @ (vt_r @ v - beta)
+
+
 def _group_bp_equality(matrix: np.ndarray, b: np.ndarray, block_len: int, cfg: SolverConfig):
     """min sum_j ||c_j||_2  s.t.  matrix @ c = b, via ADMM with an exact
-    affine projection.  Returns (c, iterations, converged)."""
+    affine projection.  Returns (c, iterations, converged).
+
+    The affine projection costs two n x r matvecs (r = rank of M).
+    """
     n = matrix.shape[1]
-    pinv = np.linalg.pinv(matrix)
+    v_r, vt_r, beta = _affine_projector(matrix, b)
     rho = cfg.penalty
+    tau = 1.0 / rho
     floor = 1e-15 * math.sqrt(n)
 
-    c = pinv @ b  # least-norm feasible start
-    z = _block_soft_threshold(c, block_len, 1.0 / rho)
+    c = v_r @ beta  # least-norm feasible start
+    z = _block_soft_threshold(c, block_len, tau)
     u = c - z
 
     converged = False
@@ -122,15 +155,16 @@ def _group_bp_equality(matrix: np.ndarray, b: np.ndarray, block_len: int, cfg: S
     for it in range(1, cfg.max_iter + 1):
         iters = it
         v = z - u
-        c = v - pinv @ (matrix @ v - b)
+        c = _project_affine(v, v_r, vt_r, beta)
         z_old = z
-        z = _block_soft_threshold(c + u, block_len, 1.0 / rho)
-        u = u + c - z
+        cu = c + u
+        z = _block_soft_threshold(cu, block_len, tau)
+        u = cu - z
 
-        r_norm = float(np.linalg.norm(c - z))
-        s_norm = rho * float(np.linalg.norm(z - z_old))
-        eps_pri = floor + cfg.tol_primal * max(float(np.linalg.norm(c)), float(np.linalg.norm(z)))
-        eps_dual = floor + cfg.tol_dual * rho * float(np.linalg.norm(u))
+        r_norm = _norm(c - z)
+        s_norm = rho * _norm(z - z_old)
+        eps_pri = floor + cfg.tol_primal * max(_norm(c), _norm(z))
+        eps_dual = floor + cfg.tol_dual * rho * _norm(u)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -138,8 +172,29 @@ def _group_bp_equality(matrix: np.ndarray, b: np.ndarray, block_len: int, cfg: S
         if it % _BALANCE_EVERY == 0:
             rho, u_factor = _balance_penalty(rho, r_norm, s_norm)
             if u_factor != 1.0:
+                tau = 1.0 / rho
                 u = u * u_factor
     return c, iters, converged
+
+
+def _inverse_identity_plus_gram(matrix: np.ndarray, mt: np.ndarray) -> np.ndarray:
+    """(I + M^T M)^-1 as a dense symmetric matrix, factored and inverted in
+    place with LAPACK potrf + potri."""
+    n = matrix.shape[1]
+    gram = mt @ matrix
+    gram.flat[:: n + 1] += 1.0
+    # gram is symmetric: its transpose is the same matrix in Fortran order,
+    # which LAPACK can overwrite without a copy
+    potrf, potri = scipy.linalg.get_lapack_funcs(("potrf", "potri"), (gram,))
+    chol, info = potrf(gram.T, lower=0, clean=1, overwrite_a=1)
+    if info == 0:
+        inv, info = potri(chol, lower=0, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"factoring I + M^T M failed (info={info})")
+    # potri filled the upper triangle; clean=1 zeroed the strict lower one
+    np.add(inv, inv.T, out=inv)
+    inv.flat[:: n + 1] *= 0.5
+    return inv.T
 
 
 def _group_bp_ball(matrix: np.ndarray, b: np.ndarray, radius: float, block_len: int,
@@ -147,56 +202,61 @@ def _group_bp_ball(matrix: np.ndarray, b: np.ndarray, radius: float, block_len: 
     """min sum_j ||c_j||_2  s.t.  ||matrix @ c - b||_2 <= radius.
 
     Splitting with copies z = c and w = matrix @ c; the w-step projects onto
-    the radius-ball around b (a point when radius = 0).
+    the radius-ball around b (a point when radius = 0).  The c-update
+    operator (I + M^T M)^-1 is formed once, so each c-step is one matvec.
+    M^T w and M^T u_w are carried along: both follow from one product
+    M^T (M c + u_w - b) per iteration, because the ball projection scales
+    that offset by a single factor.
     """
     n_rows, n_cols = matrix.shape
     rho = cfg.penalty
+    tau = 1.0 / rho
     floor = 1e-15 * math.sqrt(n_cols + n_rows)
+    mt = np.ascontiguousarray(matrix.T)
+    h_inv = _inverse_identity_plus_gram(matrix, mt)
+    mt_b = mt @ b
 
-    # (I + M^T M) solve, factoring whichever Gram is smaller
-    if n_cols <= n_rows:
-        chol = scipy.linalg.cho_factor(np.eye(n_cols) + matrix.T @ matrix)
-
-        def solve_normal(rhs):
-            return scipy.linalg.cho_solve(chol, rhs)
-    else:
-        chol = scipy.linalg.cho_factor(np.eye(n_rows) + matrix @ matrix.T)
-
-        def solve_normal(rhs):
-            return rhs - matrix.T @ scipy.linalg.cho_solve(chol, matrix @ rhs)
-
-    def project_ball(v):
-        dv = v - b
-        norm = float(np.linalg.norm(dv))
-        if norm <= radius:
-            return v
-        return b + dv * (radius / norm) if norm > 0 else b.copy()
-
-    c = solve_normal(matrix.T @ b)  # ridge start
-    z = _block_soft_threshold(c, block_len, 1.0 / rho)
-    w = project_ball(matrix @ c)
+    c = h_inv @ mt_b  # ridge start
+    mc = matrix @ c
+    z = _block_soft_threshold(c, block_len, tau)
+    dq = mc - b
+    norm_dq = _norm(dq)
+    w = mc if norm_dq <= radius else b + dq * (radius / norm_dq)
     uz = np.zeros(n_cols)
-    uw = np.zeros(n_rows)
+    uw = zero_rows = np.zeros(n_rows)
+    mt_uw = zero_cols = np.zeros(n_cols)
+    mt_w = mt @ w
 
     converged = False
     iters = 0
     for it in range(1, cfg.max_iter + 1):
         iters = it
-        rhs = (z - uz) + matrix.T @ (w - uw)
-        c = solve_normal(rhs)
+        c = h_inv @ ((z - uz) + (mt_w - mt_uw))
         mc = matrix @ c
-        z_old, w_old = z, w
-        z = _block_soft_threshold(c + uz, block_len, 1.0 / rho)
-        w = project_ball(mc + uw)
-        uz = uz + c - z
-        uw = uw + mc - w
+        z_old, mt_w_old = z, mt_w
+        cu = c + uz
+        z = _block_soft_threshold(cu, block_len, tau)
+        uz = cu - z
+        q = mc + uw
+        dq = q - b
+        mt_dq = mt @ dq
+        norm_dq = _norm(dq)
+        if norm_dq <= radius:  # inside the ball: w = q and u_w = 0
+            w, uw, mt_uw = q, zero_rows, zero_cols
+            mt_w = mt_b + mt_dq
+        else:
+            alpha = radius / norm_dq
+            w = b + dq * alpha
+            uw = q - w
+            mt_w = mt_b + mt_dq * alpha
+            mt_uw = mt_dq * (1.0 - alpha)
 
-        r_norm = math.hypot(float(np.linalg.norm(c - z)), float(np.linalg.norm(mc - w)))
-        s_norm = rho * float(np.linalg.norm((z_old - z) + matrix.T @ (w_old - w)))
-        ax = math.hypot(float(np.linalg.norm(c)), float(np.linalg.norm(mc)))
-        bz = math.hypot(float(np.linalg.norm(z)), float(np.linalg.norm(w)))
+        r_norm = math.hypot(_norm(c - z), _norm(mc - w))
+        s_norm = rho * _norm((z_old - z) + (mt_w_old - mt_w))
+        ax = math.hypot(_norm(c), _norm(mc))
+        bz = math.hypot(_norm(z), _norm(w))
         eps_pri = floor + cfg.tol_primal * max(ax, bz)
-        eps_dual = floor + cfg.tol_dual * rho * float(np.linalg.norm(uz + matrix.T @ uw))
+        eps_dual = floor + cfg.tol_dual * rho * _norm(uz + mt_uw)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -204,8 +264,10 @@ def _group_bp_ball(matrix: np.ndarray, b: np.ndarray, radius: float, block_len: 
         if it % _BALANCE_EVERY == 0:
             rho, u_factor = _balance_penalty(rho, r_norm, s_norm)
             if u_factor != 1.0:
+                tau = 1.0 / rho
                 uz = uz * u_factor
                 uw = uw * u_factor
+                mt_uw = mt_uw * u_factor
     return c, iters, converged
 
 

@@ -250,3 +250,32 @@ def test_certificate_audit_schema_and_contingency(tmp_path):
     assert row.deviation is not None and row.h_norm is not None
     table = result.summary["contingency"]
     assert sum(table.values()) == 1
+
+
+# -- frame reuse -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(name="noisy_sigma", N=8, d=4, k=1, s_list=[1], m_list=[5], d_list=[3, 4],
+                   sigma_list=[0.0, 0.05, 0.1], trials=2, base_seed=13, kind="gaussian"),
+    ExperimentSpec(name="certificate_audit", N=8, d=4, k=1, s_list=[1], m_list=[3, 6, 9],
+                   trials=2, base_seed=14),
+], ids=["noisy_sigma", "certificate_audit"])
+def test_each_group_frame_is_built_once(spec, tmp_path, monkeypatch):
+    import ffsparse.experiments as experiments
+
+    calls = []
+    original = experiments.random_frame
+
+    def counting_random_frame(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "random_frame", counting_random_frame)
+    groups = len(spec.d_list) or 1
+    outputs = {}
+    for threads in (1, 2):
+        calls.clear()
+        run_experiment(spec, out_csv=tmp_path / f"t{threads}.csv", threads=threads)
+        assert len(calls) == groups
+        outputs[threads] = [(tmp_path / f"t{threads}{ext}").read_bytes() for ext in (".csv", ".dat")]
+    assert outputs[1] == outputs[2]

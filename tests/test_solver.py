@@ -281,3 +281,57 @@ def test_l1_objective_matches_oracle_on_tiny_instances():
             hits += 1
             assert abs(report.objective - norm_l21(x)) <= 1e-6
     assert hits >= 5  # the regime is chosen so most instances recover
+
+
+# -- loop-invariant operators ------------------------------------------------------------
+
+@pytest.mark.parametrize("shape,duplicate", [((6, 15), 0), ((20, 8), 0), ((12, 9), 4)])
+def test_affine_step_matches_pinv_projection(shape, duplicate):
+    # wide full-rank, tall full-rank, and rank-deficient (repeated rows)
+    from ffsparse.solver import _affine_projector, _project_affine
+
+    rng = np.random.default_rng(sum(shape) + duplicate)
+    rows, cols = shape
+    matrix = rng.standard_normal((rows - duplicate, cols)) / np.sqrt(rows)
+    matrix = np.vstack([matrix, matrix[:duplicate]])
+    b = rng.standard_normal(rows)
+    v = rng.standard_normal(cols)
+    pinv = np.linalg.pinv(matrix)
+    expected = (np.eye(cols) - pinv @ matrix) @ v + pinv @ b
+    v_r, vt_r, beta = _affine_projector(matrix, b)
+    assert v_r.shape[1] == min(rows - duplicate, cols)
+    assert np.abs(_project_affine(v, v_r, vt_r, beta) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_sub,m", [(10, 3), (6, 4)])
+def test_noisy_matches_tight_solve_wide_and_tall(n_sub, m):
+    # (10, 3): 15 x 20 coefficient matrix (wide); (6, 4): 20 x 12 (tall)
+    from ffsparse import add_noise
+
+    fr = random_frame(n_sub, 5, 2, seed=45 + n_sub)
+    rng = np.random.default_rng(46)
+    x = sparse_signal(fr, random_support(n_sub, 2, rng), rng)
+    e = draw_matrix("gaussian", m, n_sub, seed=47, frame=fr, normalized=True)
+    rows, cols = e.coefficient_matrix().shape
+    assert (cols > rows) == (n_sub == 10)
+    sample = add_noise(e.measure(x), 0.03, seed=48, scale=e.scale)
+    report = solve_l1_noisy(e, sample.y, 0.03)
+    tight = solve_l1_noisy(e, sample.y, 0.03, TIGHT)
+    assert report.converged and tight.converged
+    assert abs(report.objective - tight.objective) <= 1e-8
+    assert report.constraint_residual <= 1e-8
+    assert tight.constraint_residual <= 1e-8
+    # optimality, independent of the solver: 0 lies outside the ball, so the
+    # residual r sits on its boundary, and g_j = M_j^T r is antiparallel to
+    # every active block c_j with one common norm that no other g_j exceeds
+    matrix, b = e.coefficient_matrix(), sample.y.to_flat()
+    c = np.stack([fr.basis(j).T @ report.x_hat.block(j) for j in range(n_sub)])
+    r = matrix @ c.ravel() - b
+    assert abs(float(np.linalg.norm(r)) - 0.03 * np.sqrt(m) * e.scale) <= 1e-8
+    g = (matrix.T @ r).reshape(c.shape)
+    c_norms, g_norms = np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1)
+    active = c_norms > 1e-6 * c_norms.max()
+    directions = c[active] / c_norms[active, None] + g[active] / g_norms[active, None]
+    assert np.abs(directions).max() <= 1e-8
+    assert g_norms[active].max() - g_norms[active].min() <= 1e-8 * g_norms.max()
+    assert g_norms[~active].max() <= g_norms[active].min()
