@@ -614,11 +614,13 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     """
     validate_spec(spec)
     cells = _cells(spec)
-    # one frame (and its cached incoherence) per group, shared by its cells
+    # one frame per group, shared by its cells; its incoherence is cached
+    # before dispatch, so worker processes unpickle it with the frame
     frames: dict[int, FusionFrame] = {}
     for cell in cells:
         if cell["m"] >= 1 and cell["group"] not in frames:
-            frames[cell["group"]] = _group_frame(spec, cell)
+            frames[cell["group"]] = frame = _group_frame(spec, cell)
+            incoherence(frame)
     if spec.name == "m_vs_lambda_eff":
         # minimal-m search per group: ascending m with early stop
         groups: dict[int, list[dict]] = {}

@@ -235,16 +235,20 @@ def frame_bounds(frame: FusionFrame) -> tuple[float, float]:
 
 def incoherence(frame: FusionFrame) -> IncoherenceMatrix:
     """Pairwise coherences ||P_i P_j|| computed from the k x k products
-    U_i^T U_j (equivalent because the bases are orthonormal).  Cached."""
+    U_i^T U_j (equivalent because the bases are orthonormal).  Cached.
+
+    Row i takes the products with all later bases in one batched matmul and
+    their largest singular values in one batched SVD, so temporaries stay
+    O(N k^2) per row."""
     if frame._incoherence_cache is not None:
         return frame._incoherence_cache
     n = frame.n_subspaces
+    bases = frame.bases
     entries = np.zeros((n, n))
-    for i in range(n):
-        ui = frame.basis(i)
-        for j in range(i + 1, n):
-            s = np.linalg.svd(ui.T @ frame.basis(j), compute_uv=False)
-            entries[i, j] = entries[j, i] = min(float(s[0]), 1.0)
+    for i in range(n - 1):
+        products = np.matmul(bases[i].T, bases[i + 1:])
+        top = np.minimum(np.linalg.svd(products, compute_uv=False)[:, 0], 1.0)
+        entries[i, i + 1:] = entries[i + 1:, i] = top
     result = IncoherenceMatrix(entries)
     frame._incoherence_cache = result
     return result

@@ -18,6 +18,17 @@ program takes one thin SVD of the coefficient matrix and projects through
 its row-space basis; the noisy program forms the dense inverse of
 I + M^T M, so its c-update is a single matvec.  The loops themselves make
 plain array operations only.
+
+Both loops stop when the primal residual r and the dual residual s fall
+below eps_pri = tol_primal * (primal scale) and eps_dual = tol_dual * rho *
+(dual scale), plus an absolute floor (Boyd et al. 2011, section 3.3).  The
+dual scale is the norm of the scaled dual variable; in the noisy program its
+two parts u_z and M^T u_w are measured separately, because their sum is the
+stationarity residual and vanishes at the optimum.  Both loops share one
+penalty rule: every 50 iterations rho is doubled or halved when r / eps_pri
+and s / eps_dual differ tenfold (residual balancing on tolerance-normalized
+residuals, Wohlberg 2017), and after 10 changes rho stays fixed, so the
+convergence theory for a constant penalty applies to the rest of the solve.
 """
 
 from __future__ import annotations
@@ -101,18 +112,23 @@ def _block_soft_threshold(v: np.ndarray, block_len: int, tau: float) -> np.ndarr
     return (blocks * factor[:, None]).ravel()
 
 
-# residual balancing is checked only every so often: per-iteration switching
-# can lock the iteration into a penalty limit cycle
+# residual balancing is checked only every so often, and rho changes at most
+# _MAX_PENALTY_CHANGES times per solve: unbounded switching can lock the
+# iteration into a penalty limit cycle
 _BALANCE_EVERY = 50
+_MAX_PENALTY_CHANGES = 10
 
 
-def _balance_penalty(rho, r_norm, s_norm):
-    """Residual balancing: double/halve rho when one residual dominates 10x.
-    Dual variables are stored scaled, so they are rescaled with rho."""
-    if r_norm > 10.0 * s_norm and rho < 1e8:
-        return 2.0 * rho, 0.5
-    if s_norm > 10.0 * r_norm and rho > 1e-8:
-        return 0.5 * rho, 2.0
+def _balance_penalty(rho, changes, r_ratio, s_ratio):
+    """Residual balancing on r / eps_pri and s / eps_dual: double/halve rho
+    when one ratio dominates 10x, unless ``changes`` penalty changes were
+    already made.  Returns (rho, u_factor); dual variables are stored scaled,
+    so they are multiplied by u_factor (1.0 when rho is unchanged)."""
+    if changes < _MAX_PENALTY_CHANGES:
+        if r_ratio > 10.0 * s_ratio and rho < 1e8:
+            return 2.0 * rho, 0.5
+        if s_ratio > 10.0 * r_ratio and rho > 1e-8:
+            return 0.5 * rho, 2.0
     return rho, 1.0
 
 
@@ -151,7 +167,7 @@ def _group_bp_equality(matrix: np.ndarray, b: np.ndarray, block_len: int, cfg: S
     u = c - z
 
     converged = False
-    iters = 0
+    iters = changes = 0
     for it in range(1, cfg.max_iter + 1):
         iters = it
         v = z - u
@@ -170,8 +186,9 @@ def _group_bp_equality(matrix: np.ndarray, b: np.ndarray, block_len: int, cfg: S
             break
 
         if it % _BALANCE_EVERY == 0:
-            rho, u_factor = _balance_penalty(rho, r_norm, s_norm)
+            rho, u_factor = _balance_penalty(rho, changes, r_norm / eps_pri, s_norm / eps_dual)
             if u_factor != 1.0:
+                changes += 1
                 tau = 1.0 / rho
                 u = u * u_factor
     return c, iters, converged
@@ -207,6 +224,12 @@ def _group_bp_ball(matrix: np.ndarray, b: np.ndarray, radius: float, block_len: 
     M^T w and M^T u_w are carried along: both follow from one product
     M^T (M c + u_w - b) per iteration, because the ball projection scales
     that offset by a single factor.
+
+    The dual tolerance is scaled by hypot(||u_z||, ||M^T u_w||), the two
+    terms of the dual variable measured separately.  Their sum u_z + M^T u_w
+    is the stationarity residual, which tends to 0 at the optimum; scaled by
+    it, eps_dual would shrink to its absolute floor and every solve would run
+    to machine precision whatever tol_primal and tol_dual are.
     """
     n_rows, n_cols = matrix.shape
     rho = cfg.penalty
@@ -228,7 +251,7 @@ def _group_bp_ball(matrix: np.ndarray, b: np.ndarray, radius: float, block_len: 
     mt_w = mt @ w
 
     converged = False
-    iters = 0
+    iters = changes = 0
     for it in range(1, cfg.max_iter + 1):
         iters = it
         c = h_inv @ ((z - uz) + (mt_w - mt_uw))
@@ -256,14 +279,15 @@ def _group_bp_ball(matrix: np.ndarray, b: np.ndarray, radius: float, block_len: 
         ax = math.hypot(_norm(c), _norm(mc))
         bz = math.hypot(_norm(z), _norm(w))
         eps_pri = floor + cfg.tol_primal * max(ax, bz)
-        eps_dual = floor + cfg.tol_dual * rho * _norm(uz + mt_uw)
+        eps_dual = floor + cfg.tol_dual * rho * math.hypot(_norm(uz), _norm(mt_uw))
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
 
         if it % _BALANCE_EVERY == 0:
-            rho, u_factor = _balance_penalty(rho, r_norm, s_norm)
+            rho, u_factor = _balance_penalty(rho, changes, r_norm / eps_pri, s_norm / eps_dual)
             if u_factor != 1.0:
+                changes += 1
                 tau = 1.0 / rho
                 uz = uz * u_factor
                 uw = uw * u_factor

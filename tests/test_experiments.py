@@ -279,3 +279,19 @@ def test_each_group_frame_is_built_once(spec, tmp_path, monkeypatch):
         assert len(calls) == groups
         outputs[threads] = [(tmp_path / f"t{threads}{ext}").read_bytes() for ext in (".csv", ".dat")]
     assert outputs[1] == outputs[2]
+
+
+def test_frames_reach_jobs_with_incoherence_cached(monkeypatch):
+    # worker processes unpickle each group frame together with its cache
+    import ffsparse.experiments as experiments
+
+    cached = []
+    original = experiments._run_cell_job
+
+    def recording_job(args):
+        cached.append(args[2]._incoherence_cache is not None)
+        return original(args)
+
+    monkeypatch.setattr(experiments, "_run_cell_job", recording_job)
+    run_experiment(tiny_spec(s_list=[1, 2]))
+    assert cached and all(cached)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -133,6 +134,27 @@ def test_incoherence_matches_dense_projector_svd():
         for j in range(i + 1, 8):
             dense = np.linalg.svd(fr.projector(i) @ fr.projector(j), compute_uv=False)[0]
             assert incoh.entries[i, j] == pytest.approx(float(dense), abs=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 2), (2, 4, 2), (30, 5, 3), (60, 6, 2), (40, 3, 1)])
+def test_incoherence_matches_pairwise_loop(shape):
+    # the batched rows give the bits of one k x k SVD per pair
+    fr = random_frame(*shape, seed=sum(shape))
+    n = fr.n_subspaces
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = np.linalg.svd(fr.basis(i).T @ fr.basis(j), compute_uv=False)
+            entries[i, j] = entries[j, i] = min(float(s[0]), 1.0)
+    assert np.array_equal(incoherence(fr).entries, entries)
+
+
+def test_pickled_frame_keeps_incoherence():
+    fr = random_frame(10, 4, 2, seed=5)
+    incoh = incoherence(fr)
+    copy = pickle.loads(pickle.dumps(fr))
+    assert copy._incoherence_cache is not None
+    assert np.array_equal(incoherence(copy).entries, incoh.entries)
 
 
 def test_incoherence_matrix_validation():

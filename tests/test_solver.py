@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -303,29 +305,37 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
     assert np.abs(_project_affine(v, v_r, vt_r, beta) - expected).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n_sub,m", [(10, 3), (6, 4)])
-def test_noisy_matches_tight_solve_wide_and_tall(n_sub, m):
-    # (10, 3): 15 x 20 coefficient matrix (wide); (6, 4): 20 x 12 (tall)
+def _noisy_instance(n_sub, m):
+    """Frame, ensemble and clean and noisy (sigma = 0.03) measurements of a
+    2-sparse signal; (10, 3) gives a 15 x 20 coefficient matrix (wide),
+    (6, 4) a 20 x 12 one (tall)."""
     from ffsparse import add_noise
 
     fr = random_frame(n_sub, 5, 2, seed=45 + n_sub)
     rng = np.random.default_rng(46)
     x = sparse_signal(fr, random_support(n_sub, 2, rng), rng)
     e = draw_matrix("gaussian", m, n_sub, seed=47, frame=fr, normalized=True)
+    y = e.measure(x)
+    return fr, e, y, add_noise(y, 0.03, seed=48, scale=e.scale)
+
+
+@pytest.mark.parametrize("n_sub,m", [(10, 3), (6, 4)])
+def test_noisy_matches_tight_solve_wide_and_tall(n_sub, m):
+    fr, e, _, sample = _noisy_instance(n_sub, m)
     rows, cols = e.coefficient_matrix().shape
     assert (cols > rows) == (n_sub == 10)
-    sample = add_noise(e.measure(x), 0.03, seed=48, scale=e.scale)
     report = solve_l1_noisy(e, sample.y, 0.03)
     tight = solve_l1_noisy(e, sample.y, 0.03, TIGHT)
     assert report.converged and tight.converged
     assert abs(report.objective - tight.objective) <= 1e-8
     assert report.constraint_residual <= 1e-8
     assert tight.constraint_residual <= 1e-8
-    # optimality, independent of the solver: 0 lies outside the ball, so the
-    # residual r sits on its boundary, and g_j = M_j^T r is antiparallel to
-    # every active block c_j with one common norm that no other g_j exceeds
+    # optimality of the tight solve, independent of the solver: 0 lies
+    # outside the ball, so the residual r sits on its boundary, and
+    # g_j = M_j^T r is antiparallel to every active block c_j with one common
+    # norm that no other g_j exceeds
     matrix, b = e.coefficient_matrix(), sample.y.to_flat()
-    c = np.stack([fr.basis(j).T @ report.x_hat.block(j) for j in range(n_sub)])
+    c = np.stack([fr.basis(j).T @ tight.x_hat.block(j) for j in range(n_sub)])
     r = matrix @ c.ravel() - b
     assert abs(float(np.linalg.norm(r)) - 0.03 * np.sqrt(m) * e.scale) <= 1e-8
     g = (matrix.T @ r).reshape(c.shape)
@@ -335,3 +345,64 @@ def test_noisy_matches_tight_solve_wide_and_tall(n_sub, m):
     assert np.abs(directions).max() <= 1e-8
     assert g_norms[active].max() - g_norms[active].min() <= 1e-8 * g_norms.max()
     assert g_norms[~active].max() <= g_norms[active].min()
+
+
+# -- stopping and penalty rule ----------------------------------------------------------
+
+def test_tolerances_govern_both_programs():
+    # a looser tolerance stops earlier, a tighter one later, in both loops
+    _, e, y, sample = _noisy_instance(10, 3)
+    loose = SolverConfig(tol_primal=1e-5, tol_dual=1e-5)
+    for solve in (lambda cfg: solve_l1_equality(e, y, cfg),
+                  lambda cfg: solve_l1_noisy(e, sample.y, 0.03, cfg)):
+        reports = [solve(cfg) for cfg in (loose, SolverConfig(), TIGHT)]
+        assert all(r.converged for r in reports)
+        assert reports[0].iterations < reports[1].iterations < reports[2].iterations
+
+
+def _penalty_cycle_instance():
+    """desk_ff_vs_block, m = 6, trial seed 1000000 (an 18 x 60 coefficient
+    matrix), built from the experiment's own frame, signal and ensemble.
+    With unbounded residual balancing its subspace-aware solve cycled rho
+    over {0.25 ... 4} until the 50,000-iteration cap."""
+    from ffsparse.experiments import _cell_signal, _cells, _group_frame, _trial_seed, spec_from_json
+
+    spec = spec_from_json((Path(__file__).resolve().parent.parent / "specs"
+                           / "desk_ff_vs_block.json").read_text())
+    cell = _cells(spec)[0]
+    seed = _trial_seed(spec.base_seed, cell["index"], 0)
+    assert cell["m"] == 6 and seed == 1_000_000
+    frame = _group_frame(spec, cell)
+    x = _cell_signal(spec, cell, frame)
+    e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
+    return e, e.measure(x), SolverConfig(success_rel_err=spec.success_rel_err)
+
+
+def test_penalty_cycle_reproducer_converges():
+    e, y, cfg = _penalty_cycle_instance()
+    report = solve_l1_equality(e, y, cfg)
+    assert report.converged and report.iterations < cfg.max_iter
+
+
+def test_penalty_changes_are_capped_per_solve(monkeypatch):
+    import ffsparse.solver as solver
+
+    changes = []
+    original = solver._balance_penalty
+
+    def counting_balance_penalty(rho, *args):
+        new_rho, u_factor = original(rho, *args)
+        changes[-1] += new_rho != rho
+        return new_rho, u_factor
+
+    monkeypatch.setattr(solver, "_balance_penalty", counting_balance_penalty)
+    e, y, cfg = _penalty_cycle_instance()
+    _, e_noisy, _, sample = _noisy_instance(10, 3)
+    for solve in (lambda: solve_l1_equality(e, y, cfg),
+                  lambda: solve_block_baseline(e, y, cfg),
+                  lambda: solve_l1_noisy(e_noisy, sample.y, 0.03),
+                  lambda: solve_l1_noisy(e_noisy, sample.y, 0.03, TIGHT)):
+        changes.append(0)
+        solve()
+    assert max(changes) <= solver._MAX_PENALTY_CHANGES
+    assert changes[0] == solver._MAX_PENALTY_CHANGES  # the reproducer reaches the cap
