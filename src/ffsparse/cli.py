@@ -7,6 +7,7 @@ infeasible configurations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 
@@ -21,6 +22,7 @@ from .experiments import (
     InfeasibleConfigError,
     SpecValidationError,
     run_experiment,
+    seeded_instance,
     spec_from_json,
     validate_spec,
 )
@@ -34,8 +36,8 @@ from .frames import (
     restricted_norms,
     save_frame,
 )
-from .measurement import add_noise, draw_matrix
-from .signals import random_support, sparse_signal
+from .measurement import add_noise
+from .signals import random_support
 from .solver import (
     SolverConfig,
     relative_error,
@@ -123,12 +125,40 @@ def _load_or_draw_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, fram
         _fail(EXIT_INFEASIBLE, str(exc))
 
 
+_FRAME_OPTIONS = (
+    click.option("--frame", "frame_path", type=click.Path(exists=True, dir_okay=False),
+                 default=None),
+    click.option("--subspaces", "-n", "n_subspaces", type=int, default=None),
+    click.option("--ambient-dim", "-d", type=int, default=None),
+    click.option("--subspace-dim", "-k", type=int, default=None),
+    click.option("--frame-seed", type=int, default=0, show_default=True),
+)
+
+
+def _frame_options(command):
+    """Add the frame options (a --frame file, or -n/-d/-k and --frame-seed
+    for a random one) ahead of the command's own options, and call the
+    command with the loaded or drawn frame as its first argument."""
+
+    @functools.wraps(command)
+    def with_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed, **kwargs):
+        fr = _load_or_draw_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed)
+        return command(fr, **kwargs)
+
+    for option in reversed(_FRAME_OPTIONS):
+        with_frame = option(with_frame)
+    return with_frame
+
+
+def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
+    if not 1 <= sparsity <= fr.n_subspaces:
+        _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
+    if measurements < 1:
+        _fail(EXIT_INFEASIBLE, "need at least one measurement")
+
+
 @main.command()
-@click.option("--frame", "frame_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--subspaces", "-n", "n_subspaces", type=int, default=None)
-@click.option("--ambient-dim", "-d", type=int, default=None)
-@click.option("--subspace-dim", "-k", type=int, default=None)
-@click.option("--frame-seed", type=int, default=0, show_default=True)
+@_frame_options
 @click.option("--kind", type=click.Choice(["bernoulli", "gaussian"]), default="bernoulli",
               show_default=True)
 @click.option("--measurements", "-m", type=int, required=True)
@@ -140,18 +170,10 @@ def _load_or_draw_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, fram
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the full report as JSON.")
-def solve(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed, kind,
-          measurements, sparsity, seed, eta, program, out):
+def solve(fr, kind, measurements, sparsity, seed, eta, program, out):
     """Generate a seeded instance, solve it, and report the outcome."""
-    fr = _load_or_draw_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed)
-    if not 1 <= sparsity <= fr.n_subspaces:
-        _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
-    if measurements < 1:
-        _fail(EXIT_INFEASIBLE, "need at least one measurement")
-    rng = np.random.default_rng(seed)
-    support = random_support(fr.n_subspaces, sparsity, rng)
-    x = sparse_signal(fr, support, rng)
-    ensemble = draw_matrix(kind, measurements, fr.n_subspaces, seed, fr, normalized=True)
+    _check_sizes(fr, sparsity, measurements)
+    _, x, ensemble = seeded_instance(fr, kind, measurements, sparsity, seed, seed)
     y = ensemble.measure(x)
     cfg = SolverConfig()
     if eta is not None:
@@ -183,23 +205,16 @@ def solve(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed, kind,
 
 
 @main.command("bounds")
-@click.option("--frame", "frame_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--subspaces", "-n", "n_subspaces", type=int, default=None)
-@click.option("--ambient-dim", "-d", type=int, default=None)
-@click.option("--subspace-dim", "-k", type=int, default=None)
-@click.option("--frame-seed", type=int, default=0, show_default=True)
+@_frame_options
 @click.option("--sparsity", "-s", type=int, required=True)
 @click.option("--support-seed", type=int, default=0, show_default=True)
 @click.option("--eps", type=float, default=0.1, show_default=True)
 @click.option("--const", type=float, default=1.0, show_default=True,
               help="Stand-in for the unspecified universal constant.")
 @click.option("--delta", type=float, default=0.5, show_default=True)
-def bounds_cmd(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed,
-               sparsity, support_seed, eps, const, delta):
+def bounds_cmd(fr, sparsity, support_seed, eps, const, delta):
     """Print required-m evaluations for every recovery statement."""
-    fr = _load_or_draw_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed)
-    if not 1 <= sparsity <= fr.n_subspaces:
-        _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
+    _check_sizes(fr, sparsity)
     rng = np.random.default_rng(support_seed)
     support = random_support(fr.n_subspaces, sparsity, rng)
     incoh = incoherence(fr)
@@ -226,30 +241,18 @@ def _short(value):
 
 
 @main.command()
-@click.option("--frame", "frame_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--subspaces", "-n", "n_subspaces", type=int, default=None)
-@click.option("--ambient-dim", "-d", type=int, default=None)
-@click.option("--subspace-dim", "-k", type=int, default=None)
-@click.option("--frame-seed", type=int, default=0, show_default=True)
+@_frame_options
 @click.option("--kind", type=click.Choice(["bernoulli", "gaussian"]), default="bernoulli",
               show_default=True)
 @click.option("--measurements", "-m", type=int, required=True)
 @click.option("--sparsity", "-s", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def certificate(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed, kind,
-                measurements, sparsity, seed, out):
+def certificate(fr, kind, measurements, sparsity, seed, out):
     """Build the golfing dual certificate for a seeded instance and dump the
     per-step residuals and condition values as JSON."""
-    fr = _load_or_draw_frame(frame_path, n_subspaces, ambient_dim, subspace_dim, frame_seed)
-    if not 1 <= sparsity <= fr.n_subspaces:
-        _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
-    if measurements < 1:
-        _fail(EXIT_INFEASIBLE, "need at least one measurement")
-    rng = np.random.default_rng(seed)
-    support = random_support(fr.n_subspaces, sparsity, rng)
-    x = sparse_signal(fr, support, rng)
-    ensemble = draw_matrix(kind, measurements, fr.n_subspaces, seed, fr, normalized=True)
+    _check_sizes(fr, sparsity, measurements)
+    support, x, ensemble = seeded_instance(fr, kind, measurements, sparsity, seed, seed)
     gram = gram_conditions(ensemble, support)
     cert = golfing_build(ensemble, x)
     passed, reasons = verify_inexact(cert, gram)

@@ -6,6 +6,11 @@ next to it.  Output is fully deterministic: trial seeds are derived as
 base_seed * 10^6 + cell_index * 10^3 + trial_index, rows are sorted before
 writing, and floats are printed as shortest round-trip decimals, so the same
 spec and seed always produce byte-identical files.
+
+Each experiment is one entry of the ``_EXPERIMENTS`` table: the grids it
+needs, how its grid expands into cells, the signal it recovers, the
+programs each trial solves, the summary it adds and the CSV columns it
+writes.
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .blocks import BlockSupport, BlockVector
 from .certificate import golfing_build, gram_conditions, verify_inexact
 from .frames import FusionFrame, incoherence, lambda_eff, random_frame
-from .measurement import add_noise, draw_matrix
+from .measurement import MeasurementEnsemble, add_noise, draw_matrix
 from .signals import compressible_signal, power_law_signal, random_support, sparse_signal
 from .solver import (
     SolverConfig,
@@ -44,18 +49,9 @@ __all__ = [
     "AUDIT_COLUMNS",
     "spec_from_dict",
     "spec_from_json",
+    "seeded_instance",
     "run_experiment",
 ]
-
-EXPERIMENT_NAMES = (
-    "phase_transition",
-    "ff_vs_block",
-    "m_vs_lambda_eff",
-    "stable_theta",
-    "noisy_sigma",
-    "power_law_q",
-    "certificate_audit",
-)
 
 SCHEMA_VERSION = 1
 
@@ -131,15 +127,8 @@ def spec_from_json(text: str) -> ExperimentSpec:
     return spec_from_dict(doc)
 
 
-def _needs(spec: ExperimentSpec, grid_name: str) -> list:
-    grid = getattr(spec, grid_name)
-    if not grid:
-        raise SpecValidationError(f"{spec.name} requires a nonempty {grid_name}")
-    return grid
-
-
 def validate_spec(spec: ExperimentSpec) -> None:
-    if spec.name not in EXPERIMENT_NAMES:
+    if spec.name not in _EXPERIMENTS:
         raise SpecValidationError(f"unknown experiment {spec.name!r}")
     if spec.kind not in ("bernoulli", "gaussian"):
         raise SpecValidationError(f"unknown matrix kind {spec.kind!r}")
@@ -162,32 +151,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.trials > _MAX_TRIALS:
         raise InfeasibleConfigError(f"trials must be <= {_MAX_TRIALS} for collision-free seeding")
 
-    if spec.name in ("phase_transition", "ff_vs_block"):
-        _needs(spec, "s_list")
-        _needs(spec, "m_list")
-    elif spec.name == "m_vs_lambda_eff":
-        _needs(spec, "d_list")
-        _needs(spec, "m_list")
-        _needs(spec, "s_list")
-    elif spec.name == "stable_theta":
-        _needs(spec, "s_list")
-        _needs(spec, "m_list")
-    elif spec.name == "noisy_sigma":
-        _needs(spec, "s_list")
-        _needs(spec, "m_list")
-        _needs(spec, "sigma_list")
-        if any(v < 0 for v in spec.sigma_list):
-            raise SpecValidationError("sigma values must be nonnegative")
-    elif spec.name == "power_law_q":
-        _needs(spec, "q_list")
-        _needs(spec, "m_list")
-        if any(v <= 0 for v in spec.q_list):
-            raise SpecValidationError("q values must be positive")
-    elif spec.name == "certificate_audit":
-        _needs(spec, "s_list")
-        _needs(spec, "m_list")
-        if spec.s_list[0] < 1:
-            raise SpecValidationError("certificate_audit needs s >= 1")
+    experiment = _EXPERIMENTS[spec.name]
+    for grid_name in experiment.grids:
+        if not getattr(spec, grid_name):
+            raise SpecValidationError(f"{spec.name} requires a nonempty {grid_name}")
+    for rejects, message in experiment.rejects:
+        if rejects(spec):
+            raise SpecValidationError(message)
 
     for grid_name in ("s_list", "m_list", "d_list"):
         for value in getattr(spec, grid_name):
@@ -269,10 +239,6 @@ def _frame_seed(base_seed: int, group_index: int) -> int:
     return _aux_seed(base_seed, 500 + group_index)
 
 
-def _signal_seed(base_seed: int, slot: int) -> int:
-    return _aux_seed(base_seed, slot)
-
-
 def _hash_blocks(y: BlockVector) -> str:
     return hashlib.sha256(np.ascontiguousarray(y.blocks).tobytes()).hexdigest()[:12]
 
@@ -301,51 +267,304 @@ def _linear_fit(xs, ys) -> Optional[dict]:
     return {"intercept": float(coef[0]), "slope": float(coef[1]), "r2": r2}
 
 
+def _fit_text(fit: dict) -> str:
+    return f"slope={_fmt(fit['slope'])} intercept={_fmt(fit['intercept'])} r2={_fmt(fit['r2'])}"
+
+
+def seeded_instance(frame: FusionFrame, kind: str, m: int, s: int, matrix_seed: int,
+                    signal_seed: int) -> tuple[BlockSupport, BlockVector, MeasurementEnsemble]:
+    """A random s-block support, a unit-norm sparse signal on it (both drawn
+    from default_rng(signal_seed)) and a normalized m-row ensemble of the
+    given kind drawn with matrix_seed."""
+    rng = np.random.default_rng(signal_seed)
+    support = random_support(frame.n_subspaces, s, rng)
+    x = sparse_signal(frame, support, rng)
+    ensemble = draw_matrix(kind, m, frame.n_subspaces, matrix_seed, frame, normalized=True)
+    return support, x, ensemble
+
+
+def _trial_record(spec: ExperimentSpec, cell: dict, trial: int, seed: int, leff: float,
+                  program: str, report, x: BlockVector, y: BlockVector,
+                  **extras) -> TrialRecord:
+    rel = relative_error(report.x_hat, x)
+    return TrialRecord(
+        experiment=spec.name, seed=seed, N=spec.N, d=cell["d"], k=spec.k,
+        s=cell["s"], m=cell["m"], lambda_eff=leff, kind=spec.kind, program=program,
+        success=rel <= spec.success_rel_err, rel_err=rel, objective=report.objective,
+        iterations=report.iterations, y_hash=_hash_blocks(y), **extras,
+        wall_time=report.wall_time, cell_index=cell["index"], trial_index=trial,
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-experiment parts: cells, checks, signals, programs, summaries
+#
+# Every function below calls the layer functions (random_frame, draw_matrix,
+# solve_l1_*, golfing_build, ...) by their module-level names when it runs,
+# so rebinding those names (span tracing, test doubles) reaches every call.
+
+
+def _cell(d, s, m, group: int, signal_slot: int, **grid) -> dict:
+    return {"d": d, "s": s, "m": m, **grid, "group": group, "signal_slot": signal_slot}
+
+
+def _transition_cells(spec: ExperimentSpec) -> list[dict]:
+    """s x m grid on one frame, one signal per s."""
+    return [_cell(spec.d, int(s), int(m), 0, s_idx)
+            for s_idx, s in enumerate(spec.s_list) for m in spec.m_list]
+
+
+def _group_cells(spec: ExperimentSpec) -> list[dict]:
+    """One frame and one signal per ambient dimension, each swept over m."""
+    s = int(spec.s_list[0])
+    return [_cell(int(dd), s, int(m), g_idx, g_idx)
+            for g_idx, dd in enumerate(spec.d_list or [spec.d]) for m in spec.m_list]
+
+
+def _noise_cells(spec: ExperimentSpec) -> list[dict]:
+    s, m = int(spec.s_list[0]), int(spec.m_list[0])
+    return [_cell(int(dd), s, m, g_idx, g_idx, sigma=float(sigma))
+            for g_idx, dd in enumerate(spec.d_list or [spec.d]) for sigma in spec.sigma_list]
+
+
+def _power_law_cells(spec: ExperimentSpec) -> list[dict]:
+    m, n_q = int(spec.m_list[0]), len(spec.q_list)
+    return [_cell(int(dd), spec.N, m, g_idx, g_idx * n_q + q_idx, q=float(q))
+            for g_idx, dd in enumerate(spec.d_list or [spec.d])
+            for q_idx, q in enumerate(spec.q_list)]
+
+
+def _audit_cells(spec: ExperimentSpec) -> list[dict]:
+    s = int(spec.s_list[0])
+    return [_cell(spec.d, s, int(m), 0, 0) for m in spec.m_list]
+
+
+def _sparse(spec, cell, frame, rng) -> BlockVector:
+    return sparse_signal(frame, random_support(spec.N, cell["s"], rng), rng)
+
+
+def _compressible(spec, cell, frame, rng) -> BlockVector:
+    return compressible_signal(frame, random_support(spec.N, cell["s"], rng), spec.theta, rng)
+
+
+def _power_law(spec, cell, frame, rng) -> BlockVector:
+    return power_law_signal(frame, cell["q"], rng)
+
+
+# programs of one trial: (ensemble, y, cell, seed, cfg) -> [(report, y_used)],
+# one pair per label in the entry's ``programs``
+
+
+def _solve_equality(ensemble, y, cell, seed, cfg) -> list:
+    return [(solve_l1_equality(ensemble, y, cfg), y)]
+
+
+def _solve_with_block_baseline(ensemble, y, cell, seed, cfg) -> list:
+    return [(solve_l1_equality(ensemble, y, cfg), y), (solve_block_baseline(ensemble, y, cfg), y)]
+
+
+def _solve_noisy(ensemble, y, cell, seed, cfg) -> list:
+    sample = add_noise(y, cell["sigma"], seed + _NOISE_SEED_OFFSET, ensemble.scale)
+    return [(solve_l1_noisy(ensemble, sample.y, cell["sigma"], cfg), sample.y)]
+
+
+def _signal_lambda_eff(frame: FusionFrame, x: BlockVector) -> float:
+    active = np.nonzero(x.block_norms() > 0)[0]
+    if active.size == 0:
+        return 0.0
+    return lambda_eff(incoherence(frame), BlockSupport(active))
+
+
+def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
+                    cfg: SolverConfig) -> list[TrialRecord]:
+    """One signal per cell, a fresh matrix per trial, every program of the
+    experiment on each trial's measurements."""
+    experiment = _EXPERIMENTS[spec.name]
+    x = _cell_signal(spec, cell, frame)
+    leff = _signal_lambda_eff(frame, x)
+    rows = []
+    for trial in range(spec.trials):
+        seed = _trial_seed(spec.base_seed, cell["index"], trial)
+        ensemble = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
+        y = ensemble.measure(x)
+        solved = experiment.solve(ensemble, y, cell, seed, cfg)
+        for program, (report, y_used) in zip(experiment.programs, solved):
+            rows.append(_trial_record(spec, cell, trial, seed, leff, program, report, x, y_used))
+    return rows
+
+
+def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
+                    cfg: SolverConfig) -> list[TrialRecord]:
+    """A fresh seeded signal per trial, audited by the Gram conditions and
+    the golfing certificate before the equality program solves it."""
+    incoh = incoherence(frame)
+    rows = []
+    for trial in range(spec.trials):
+        seed = _trial_seed(spec.base_seed, cell["index"], trial)
+        support, x, ensemble = seeded_instance(frame, spec.kind, cell["m"], cell["s"],
+                                               seed, seed + _AUDIT_SIGNAL_OFFSET)
+        y = ensemble.measure(x)
+        gram = gram_conditions(ensemble, support)
+        cert = golfing_build(ensemble, x)
+        passed, _ = verify_inexact(cert, gram)
+        report = solve_l1_equality(ensemble, y, cfg)
+        rows.append(_trial_record(
+            spec, cell, trial, seed, lambda_eff(incoh, support), "FF", report, x, y,
+            deviation=gram.deviation, inv_norm=gram.inv_norm, cross_max=gram.cross_max,
+            on_support_gap=cert.on_support_gap, off_support_max=cert.off_support_max,
+            h_norm=cert.h_norm, cert_pass=passed,
+        ))
+    return rows
+
+
+# summaries: summarize(spec, summary, rows) adds the experiment's keys (and
+# notes) to the summary; report(spec, summary) returns its .dat and echo lines
+
+
+def _no_summary(spec, summary, rows) -> None:
+    pass
+
+
+def _no_report(spec, summary) -> tuple[list, list]:
+    return [], []
+
+
+def _minimal_m_summary(spec, summary, rows) -> None:
+    minimal: dict = {}
+    for program in _EXPERIMENTS[spec.name].programs:
+        for s in spec.s_list:
+            hits = [e["m"] for e in summary["cells"]
+                    if e["program"] == program and e["s"] == s
+                    and e["rate"] >= spec.success_threshold]
+            minimal[(program, int(s))] = min(hits, default=None)
+    summary["minimal_m"] = minimal
+
+
+def _minimal_m_report(spec, summary) -> tuple[list, list]:
+    items = sorted(summary["minimal_m"].items())
+    return (
+        [f"# minimal_m program={program} s={s} m={'none' if m is None else m}"
+         for (program, s), m in items],
+        [f"minimal m for >= {spec.success_threshold:.0%} success, "
+         f"program={program}, s={s}: {'none' if m is None else m}" for (program, s), m in items],
+    )
+
+
+def _trend_summary(spec, summary, rows) -> None:
+    points = []
+    for g_idx, dd in enumerate(spec.d_list):
+        entries = [e for e in summary["cells"] if e["group"] == g_idx]
+        m_min = min((e["m"] for e in entries if e["rate"] >= spec.success_threshold),
+                    default=None)
+        leff = entries[0]["lambda_eff"] if entries else 0.0
+        points.append({"group": g_idx, "d": dd, "lambda_eff": leff, "minimal_m": m_min})
+        if m_min is None:
+            summary["notes"].append(
+                f"group {g_idx} (d={dd}): no m in grid reaches "
+                f"{spec.success_threshold:.0%} success")
+    summary["trend_points"] = points
+    usable = [(p["lambda_eff"], p["minimal_m"]) for p in points if p["minimal_m"] is not None]
+    fit = _linear_fit([u[0] for u in usable], [u[1] for u in usable]) if len(usable) >= 2 else None
+    if fit is None:
+        summary["notes"].append("linear fit refused: fewer than two usable trend points")
+    summary["fit"] = fit
+
+
+def _trend_report(spec, summary) -> tuple[list, list]:
+    fit = summary["fit"]
+    if not fit:
+        return [], []
+    return ([f"# fit {_fit_text(fit)}"],
+            [f"trend fit: slope={fit['slope']:.3f} intercept={fit['intercept']:.3f} "
+             f"r2={fit['r2']:.3f}"])
+
+
+def _noise_fit_summary(spec, summary, rows) -> None:
+    fits = {}
+    for g_idx in range(len(spec.d_list or [spec.d])):
+        entries = [e for e in summary["cells"] if e["group"] == g_idx]
+        fit = _linear_fit([e["sigma"] for e in entries], [e["mean_rel_err"] for e in entries])
+        fits[g_idx] = fit
+        if fit is None:
+            summary["notes"].append(f"group {g_idx}: error-vs-sigma fit refused")
+    summary["fits"] = fits
+
+
+def _noise_fit_report(spec, summary) -> tuple[list, list]:
+    return [f"# fit group={g_idx} {_fit_text(fit)}"
+            for g_idx, fit in summary["fits"].items() if fit], []
+
+
+def _contingency_summary(spec, summary, rows) -> None:
+    table = {"pass_success": 0, "pass_fail": 0, "fail_success": 0, "fail_fail": 0}
+    for row in rows:
+        key = ("pass" if row.cert_pass else "fail") + ("_success" if row.success else "_fail")
+        table[key] += 1
+    summary["contingency"] = table
+
+
+def _contingency_report(spec, summary) -> tuple[list, list]:
+    table = summary["contingency"]
+    return (["# contingency " + " ".join(f"{k}={v}" for k, v in sorted(table.items()))],
+            [f"contingency: {table}"])
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    grids: tuple  # spec grids that must be nonempty, checked in this order
+    cells: Callable  # spec -> cell dicts in cell-index order
+    rejects: tuple = ()  # (spec -> bool, message): grid checks past nonemptiness
+    signal: Callable = _sparse  # (spec, cell, frame, rng) -> the cell's signal
+    solve: Callable = _solve_equality  # one trial's programs, see above
+    programs: tuple = ("FF",)  # row label of each program
+    run_cell: Callable = _run_sweep_cell  # (spec, cell, frame, cfg) -> rows
+    summarize: Callable = _no_summary
+    report: Callable = _no_report
+    columns: tuple = TRIAL_COLUMNS
+    # run each group's cells in ascending m and stop at the first that
+    # reaches the success threshold
+    minimal_m_search: bool = False
+
+
+_EXPERIMENTS = {
+    "phase_transition": _Experiment(
+        grids=("s_list", "m_list"), cells=_transition_cells,
+        summarize=_minimal_m_summary, report=_minimal_m_report),
+    "ff_vs_block": _Experiment(
+        grids=("s_list", "m_list"), cells=_transition_cells,
+        solve=_solve_with_block_baseline, programs=("FF", "block"),
+        summarize=_minimal_m_summary, report=_minimal_m_report),
+    "m_vs_lambda_eff": _Experiment(
+        grids=("d_list", "m_list", "s_list"), cells=_group_cells,
+        summarize=_trend_summary, report=_trend_report, minimal_m_search=True),
+    "stable_theta": _Experiment(
+        grids=("s_list", "m_list"), cells=_group_cells, signal=_compressible),
+    "noisy_sigma": _Experiment(
+        grids=("s_list", "m_list", "sigma_list"), cells=_noise_cells,
+        rejects=((lambda spec: any(v < 0 for v in spec.sigma_list),
+                  "sigma values must be nonnegative"),),
+        solve=_solve_noisy, summarize=_noise_fit_summary, report=_noise_fit_report),
+    "power_law_q": _Experiment(
+        grids=("q_list", "m_list"), cells=_power_law_cells,
+        rejects=((lambda spec: any(v <= 0 for v in spec.q_list), "q values must be positive"),),
+        signal=_power_law),
+    "certificate_audit": _Experiment(
+        grids=("s_list", "m_list"), cells=_audit_cells,
+        rejects=((lambda spec: spec.s_list[0] < 1, "certificate_audit needs s >= 1"),),
+        run_cell=_run_audit_cell, summarize=_contingency_summary,
+        report=_contingency_report, columns=AUDIT_COLUMNS),
+}
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+
+
 # ---------------------------------------------------------------------------
 # cell enumeration and execution
 
 
 def _cells(spec: ExperimentSpec) -> list[dict]:
     """Flat, ordered cell descriptors; the position is the cell index."""
-    cells = []
-    if spec.name in ("phase_transition", "ff_vs_block"):
-        for s_idx, s in enumerate(spec.s_list):
-            for m in spec.m_list:
-                cells.append({"d": spec.d, "s": int(s), "m": int(m),
-                              "group": 0, "signal_slot": s_idx})
-    elif spec.name == "m_vs_lambda_eff":
-        s = int(spec.s_list[0])
-        for g_idx, dd in enumerate(spec.d_list):
-            for m in spec.m_list:
-                cells.append({"d": int(dd), "s": s, "m": int(m),
-                              "group": g_idx, "signal_slot": g_idx})
-    elif spec.name == "stable_theta":
-        s = int(spec.s_list[0])
-        groups = spec.d_list or [spec.d]
-        for g_idx, dd in enumerate(groups):
-            for m in spec.m_list:
-                cells.append({"d": int(dd), "s": s, "m": int(m),
-                              "group": g_idx, "signal_slot": g_idx})
-    elif spec.name == "noisy_sigma":
-        s = int(spec.s_list[0])
-        m = int(spec.m_list[0])
-        groups = spec.d_list or [spec.d]
-        for g_idx, dd in enumerate(groups):
-            for sigma in spec.sigma_list:
-                cells.append({"d": int(dd), "s": s, "m": m, "sigma": float(sigma),
-                              "group": g_idx, "signal_slot": g_idx})
-    elif spec.name == "power_law_q":
-        m = int(spec.m_list[0])
-        groups = spec.d_list or [spec.d]
-        for g_idx, dd in enumerate(groups):
-            for q_idx, q in enumerate(spec.q_list):
-                cells.append({"d": int(dd), "s": spec.N, "m": m, "q": float(q),
-                              "group": g_idx,
-                              "signal_slot": g_idx * len(spec.q_list) + q_idx})
-    elif spec.name == "certificate_audit":
-        s = int(spec.s_list[0])
-        for m in spec.m_list:
-            cells.append({"d": spec.d, "s": s, "m": int(m), "group": 0, "signal_slot": 0})
+    cells = _EXPERIMENTS[spec.name].cells(spec)
     for index, cell in enumerate(cells):
         cell["index"] = index
     return cells
@@ -356,95 +575,15 @@ def _group_frame(spec: ExperimentSpec, cell: dict) -> FusionFrame:
 
 
 def _cell_signal(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> BlockVector:
-    rng = np.random.default_rng(_signal_seed(spec.base_seed, cell["signal_slot"]))
-    if spec.name == "stable_theta":
-        support = random_support(spec.N, cell["s"], rng)
-        return compressible_signal(frame, support, spec.theta, rng)
-    if spec.name == "power_law_q":
-        return power_law_signal(frame, cell["q"], rng)
-    support = random_support(spec.N, cell["s"], rng)
-    return sparse_signal(frame, support, rng)
-
-
-def _signal_lambda_eff(frame: FusionFrame, x: BlockVector) -> float:
-    active = np.nonzero(x.block_norms() > 0)[0]
-    if active.size == 0:
-        return 0.0
-    return lambda_eff(incoherence(frame), BlockSupport(active))
+    rng = np.random.default_rng(_aux_seed(spec.base_seed, cell["signal_slot"]))
+    return _EXPERIMENTS[spec.name].signal(spec, cell, frame, rng)
 
 
 def _run_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
     if cell["m"] < 1:
         return []
     cfg = SolverConfig(success_rel_err=spec.success_rel_err)
-    if spec.name == "certificate_audit":
-        return _run_audit_cell(spec, cell, frame, cfg)
-
-    x = _cell_signal(spec, cell, frame)
-    leff = _signal_lambda_eff(frame, x)
-    rows = []
-    for trial in range(spec.trials):
-        seed = _trial_seed(spec.base_seed, cell["index"], trial)
-        ensemble = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
-        y = ensemble.measure(x)
-
-        if spec.name == "noisy_sigma":
-            sample = add_noise(y, cell["sigma"], seed + _NOISE_SEED_OFFSET, ensemble.scale)
-            report = solve_l1_noisy(ensemble, sample.y, cell["sigma"], cfg)
-            y_used = sample.y
-        else:
-            report = solve_l1_equality(ensemble, y, cfg)
-            y_used = y
-        rel = relative_error(report.x_hat, x)
-        rows.append(TrialRecord(
-            experiment=spec.name, seed=seed, N=spec.N, d=cell["d"], k=spec.k,
-            s=cell["s"], m=cell["m"], lambda_eff=leff, kind=spec.kind, program="FF",
-            success=rel <= spec.success_rel_err, rel_err=rel, objective=report.objective,
-            iterations=report.iterations, y_hash=_hash_blocks(y_used),
-            wall_time=report.wall_time, cell_index=cell["index"], trial_index=trial,
-        ))
-        if spec.name == "ff_vs_block":
-            base = solve_block_baseline(ensemble, y, cfg)
-            rel_b = relative_error(base.x_hat, x)
-            rows.append(TrialRecord(
-                experiment=spec.name, seed=seed, N=spec.N, d=cell["d"], k=spec.k,
-                s=cell["s"], m=cell["m"], lambda_eff=leff, kind=spec.kind, program="block",
-                success=rel_b <= spec.success_rel_err, rel_err=rel_b, objective=base.objective,
-                iterations=base.iterations, y_hash=_hash_blocks(y),
-                wall_time=base.wall_time, cell_index=cell["index"], trial_index=trial,
-            ))
-    return rows
-
-
-def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
-                    cfg: SolverConfig) -> list[TrialRecord]:
-    incoh = incoherence(frame)
-    rows = []
-    for trial in range(spec.trials):
-        seed = _trial_seed(spec.base_seed, cell["index"], trial)
-        rng = np.random.default_rng(seed + _AUDIT_SIGNAL_OFFSET)
-        support = random_support(spec.N, cell["s"], rng)
-        x = sparse_signal(frame, support, rng)
-        ensemble = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
-        y = ensemble.measure(x)
-
-        gram = gram_conditions(ensemble, support)
-        cert = golfing_build(ensemble, x)
-        passed, _ = verify_inexact(cert, gram)
-        report = solve_l1_equality(ensemble, y, cfg)
-        rel = relative_error(report.x_hat, x)
-        rows.append(TrialRecord(
-            experiment=spec.name, seed=seed, N=spec.N, d=cell["d"], k=spec.k,
-            s=cell["s"], m=cell["m"], lambda_eff=lambda_eff(incoh, support),
-            kind=spec.kind, program="FF",
-            success=rel <= spec.success_rel_err, rel_err=rel, objective=report.objective,
-            iterations=report.iterations, y_hash=_hash_blocks(y),
-            deviation=gram.deviation, inv_norm=gram.inv_norm, cross_max=gram.cross_max,
-            on_support_gap=cert.on_support_gap, off_support_max=cert.off_support_max,
-            h_norm=cert.h_norm, cert_pass=passed,
-            wall_time=report.wall_time, cell_index=cell["index"], trial_index=trial,
-        ))
-    return rows
+    return _EXPERIMENTS[spec.name].run_cell(spec, cell, frame, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +591,7 @@ def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
 
 
 def _aggregate(spec: ExperimentSpec, cells: list[dict], rows: list[TrialRecord]) -> dict:
+    experiment = _EXPERIMENTS[spec.name]
     summary: dict = {"experiment": spec.name, "notes": [], "cells": []}
     by_cell: dict[tuple, list[TrialRecord]] = {}
     for row in rows:
@@ -461,87 +601,32 @@ def _aggregate(spec: ExperimentSpec, cells: list[dict], rows: list[TrialRecord])
         if cell["m"] < 1:
             summary["notes"].append(f"cell {cell['index']} skipped: m={cell['m']} infeasible")
             continue
-        programs = ("FF", "block") if spec.name == "ff_vs_block" else ("FF",)
-        for program in programs:
-            cell_rows = by_cell.get((cell["index"], program), [])
+        for program in experiment.programs:
+            cell_rows = by_cell.get((cell["index"], program))
+            if not cell_rows:
+                continue  # above its group's minimal m: skipped by the search
             n = len(cell_rows)
-            if n == 0 and spec.name == "m_vs_lambda_eff":
-                continue  # cell above the group's minimal m: skipped by design
             successes = sum(r.success for r in cell_rows)
             lo, hi = _wilson_interval(successes, n)
             entry = {
                 "cell_index": cell["index"], "group": cell["group"], "program": program,
                 "d": cell["d"], "s": cell["s"], "m": cell["m"], "trials": n,
-                "successes": successes, "rate": successes / n if n else 0.0,
+                "successes": successes, "rate": successes / n,
                 "wilson_lo": lo, "wilson_hi": hi,
-                "mean_rel_err": float(np.mean([r.rel_err for r in cell_rows])) if n else 0.0,
-                "lambda_eff": cell_rows[0].lambda_eff if n else 0.0,
+                "mean_rel_err": float(np.mean([r.rel_err for r in cell_rows])),
+                "lambda_eff": cell_rows[0].lambda_eff,
             }
-            if "sigma" in cell:
-                entry["sigma"] = cell["sigma"]
-            if "q" in cell:
-                entry["q"] = cell["q"]
+            for key in ("sigma", "q"):
+                if key in cell:
+                    entry[key] = cell[key]
             summary["cells"].append(entry)
 
-    if spec.name in ("phase_transition", "ff_vs_block"):
-        minimal: dict = {}
-        for program in ("FF", "block") if spec.name == "ff_vs_block" else ("FF",):
-            for s in spec.s_list:
-                hits = [e for e in summary["cells"]
-                        if e["program"] == program and e["s"] == s
-                        and e["rate"] >= spec.success_threshold]
-                key = (program, int(s))
-                minimal[key] = min((e["m"] for e in hits), default=None)
-        summary["minimal_m"] = minimal
-
-    if spec.name == "m_vs_lambda_eff":
-        points = []
-        for g_idx in range(len(spec.d_list)):
-            entries = [e for e in summary["cells"] if e["group"] == g_idx]
-            hits = [e for e in entries if e["rate"] >= spec.success_threshold]
-            m_min = min((e["m"] for e in hits), default=None)
-            leff = entries[0]["lambda_eff"] if entries else 0.0
-            points.append({"group": g_idx, "d": spec.d_list[g_idx],
-                           "lambda_eff": leff, "minimal_m": m_min})
-            if m_min is None:
-                summary["notes"].append(
-                    f"group {g_idx} (d={spec.d_list[g_idx]}): no m in grid reaches "
-                    f"{spec.success_threshold:.0%} success")
-        summary["trend_points"] = points
-        usable = [(p["lambda_eff"], p["minimal_m"]) for p in points if p["minimal_m"] is not None]
-        fit = _linear_fit([u[0] for u in usable], [u[1] for u in usable]) if len(usable) >= 2 else None
-        if fit is None:
-            summary["notes"].append("linear fit refused: fewer than two usable trend points")
-        summary["fit"] = fit
-
-    if spec.name == "noisy_sigma":
-        fits = {}
-        groups = spec.d_list or [spec.d]
-        for g_idx in range(len(groups)):
-            entries = [e for e in summary["cells"] if e["group"] == g_idx]
-            fit = _linear_fit([e["sigma"] for e in entries],
-                              [e["mean_rel_err"] for e in entries])
-            fits[g_idx] = fit
-            if fit is None:
-                summary["notes"].append(f"group {g_idx}: error-vs-sigma fit refused")
-        summary["fits"] = fits
-
-    if spec.name == "certificate_audit":
-        table = {"pass_success": 0, "pass_fail": 0, "fail_success": 0, "fail_fail": 0}
-        for row in rows:
-            key = ("pass" if row.cert_pass else "fail") + ("_success" if row.success else "_fail")
-            table[key] += 1
-        summary["contingency"] = table
-
+    experiment.summarize(spec, summary, rows)
     return summary
 
 
-def _columns_for(spec: ExperimentSpec) -> tuple[str, ...]:
-    return AUDIT_COLUMNS if spec.name == "certificate_audit" else TRIAL_COLUMNS
-
-
 def _write_csv(path: Path, spec: ExperimentSpec, rows: list[TrialRecord]) -> None:
-    columns = _columns_for(spec)
+    columns = _EXPERIMENTS[spec.name].columns
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, col)) for col in columns))
@@ -555,28 +640,10 @@ def _write_dat(path: Path, spec: ExperimentSpec, summary: dict) -> None:
     extra = [c for c in ("sigma", "q") if any(c in e for e in summary["cells"])]
     lines.append("# " + " ".join(cols + extra))
     for entry in summary["cells"]:
-        values = [entry["group"], entry["program"], entry["d"], entry["s"], entry["m"],
-                  entry["lambda_eff"], entry["trials"], entry["successes"], entry["rate"],
-                  entry["wilson_lo"], entry["wilson_hi"], entry["mean_rel_err"]]
-        values += [entry.get(c, "") for c in extra]
+        values = [entry[c] for c in cols] + [entry.get(c, "") for c in extra]
         lines.append(" ".join(_fmt(v) for v in values))
-    if "minimal_m" in summary:
-        for (program, s), m in sorted(summary["minimal_m"].items()):
-            lines.append(f"# minimal_m program={program} s={s} m={'none' if m is None else m}")
-    if summary.get("fit"):
-        fit = summary["fit"]
-        lines.append(
-            f"# fit slope={_fmt(fit['slope'])} intercept={_fmt(fit['intercept'])} r2={_fmt(fit['r2'])}")
-    for g_idx, fit in summary.get("fits", {}).items():
-        if fit:
-            lines.append(
-                f"# fit group={g_idx} slope={_fmt(fit['slope'])} "
-                f"intercept={_fmt(fit['intercept'])} r2={_fmt(fit['r2'])}")
-    if "contingency" in summary:
-        table = summary["contingency"]
-        lines.append("# contingency " + " ".join(f"{k}={v}" for k, v in sorted(table.items())))
-    for note in summary["notes"]:
-        lines.append(f"# note {note}")
+    lines += _EXPERIMENTS[spec.name].report(spec, summary)[0]
+    lines += [f"# note {note}" for note in summary["notes"]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -613,6 +680,7 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     depend on scheduling.
     """
     validate_spec(spec)
+    experiment = _EXPERIMENTS[spec.name]
     cells = _cells(spec)
     # one frame per group, shared by its cells; its incoherence is cached
     # before dispatch, so worker processes unpickle it with the frame
@@ -621,8 +689,7 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
         if cell["m"] >= 1 and cell["group"] not in frames:
             frames[cell["group"]] = frame = _group_frame(spec, cell)
             incoherence(frame)
-    if spec.name == "m_vs_lambda_eff":
-        # minimal-m search per group: ascending m with early stop
+    if experiment.minimal_m_search:
         groups: dict[int, list[dict]] = {}
         for cell in cells:
             groups.setdefault(cell["group"], []).append(cell)
@@ -654,16 +721,8 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     if echo is not None:
         for note in summary["notes"]:
             echo(f"note: {note}")
-        if "minimal_m" in summary:
-            for (program, s), m in sorted(summary["minimal_m"].items()):
-                echo(f"minimal m for >= {spec.success_threshold:.0%} success, "
-                     f"program={program}, s={s}: {'none' if m is None else m}")
-        if summary.get("fit"):
-            fit = summary["fit"]
-            echo(f"trend fit: slope={fit['slope']:.3f} intercept={fit['intercept']:.3f} "
-                 f"r2={fit['r2']:.3f}")
-        if "contingency" in summary:
-            echo(f"contingency: {summary['contingency']}")
+        for line in experiment.report(spec, summary)[1]:
+            echo(line)
 
     return ExperimentResult(spec=spec, rows=rows, summary=summary,
                             csv_path=csv_path, dat_path=dat_path)

@@ -79,15 +79,13 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve; ``rel_err_vs_truth`` is filled by callers that
-    know the ground truth."""
+    """Outcome of one solve."""
 
     x_hat: BlockVector
     objective: float
     constraint_residual: float
     iterations: int
     converged: bool
-    rel_err_vs_truth: Optional[float] = None
     wall_time: float = 0.0
 
 
@@ -306,20 +304,31 @@ def _check_measurements(ensemble: MeasurementEnsemble, y: BlockVector) -> None:
         raise ValueError("zero-dimension measurements")
 
 
-def solve_l1_equality(ensemble: MeasurementEnsemble, y: BlockVector,
-                      config: Optional[SolverConfig] = None) -> SolveReport:
-    """Minimize the (2,1)-norm subject to exact agreement with the projected
-    measurements, over signals with blocks in their subspaces."""
+def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[SolverConfig],
+           blockwise: bool = False, radius: Optional[float] = None) -> SolveReport:
+    """Check and time one solve, run the equality program (the ball program
+    when a ``radius`` is given) on the coefficient matrix (on the blockwise
+    matrix, with blocks over all of R^d, when ``blockwise``) and report it."""
     cfg = config or SolverConfig()
     _check_measurements(ensemble, y)
     t0 = time.perf_counter()
-    matrix = ensemble.coefficient_matrix()
+    frame = ensemble.frame
+    if blockwise:
+        matrix, block_len = ensemble.blockwise_matrix(), frame.dim_ambient
+    else:
+        matrix, block_len = ensemble.coefficient_matrix(), frame.dim_subspace
     b = y.to_flat()
-    c, iters, converged = _group_bp_equality(matrix, b, ensemble.frame.dim_subspace, cfg)
-    x_hat = ensemble.frame.expand(
-        BlockVector(c.reshape(ensemble.n, ensemble.frame.dim_subspace), "coefficient")
-    )
-    residual = float(np.linalg.norm(matrix @ c - b))
+    if radius is None:
+        c, iters, converged = _group_bp_equality(matrix, b, block_len, cfg)
+        residual = float(np.linalg.norm(matrix @ c - b))
+    else:
+        c, iters, converged = _group_bp_ball(matrix, b, radius, block_len, cfg)
+        residual = max(0.0, float(np.linalg.norm(matrix @ c - b)) - radius)
+    blocks = c.reshape(ensemble.n, block_len)
+    if blockwise:
+        x_hat = BlockVector(blocks, "ambient")
+    else:
+        x_hat = frame.expand(BlockVector(blocks, "coefficient"))
     return SolveReport(
         x_hat=x_hat,
         objective=norm_l21(x_hat),
@@ -328,6 +337,13 @@ def solve_l1_equality(ensemble: MeasurementEnsemble, y: BlockVector,
         converged=converged,
         wall_time=time.perf_counter() - t0,
     )
+
+
+def solve_l1_equality(ensemble: MeasurementEnsemble, y: BlockVector,
+                      config: Optional[SolverConfig] = None) -> SolveReport:
+    """Minimize the (2,1)-norm subject to exact agreement with the projected
+    measurements, over signals with blocks in their subspaces."""
+    return _solve(ensemble, y, config)
 
 
 def solve_l1_noisy(ensemble: MeasurementEnsemble, y: BlockVector, eta: float,
@@ -336,48 +352,14 @@ def solve_l1_noisy(ensemble: MeasurementEnsemble, y: BlockVector, eta: float,
     within the noise ball of radius eta * sqrt(m) (in the ensemble's scale)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    cfg = config or SolverConfig()
-    _check_measurements(ensemble, y)
-    t0 = time.perf_counter()
-    matrix = ensemble.coefficient_matrix()
-    b = y.to_flat()
-    radius = eta * math.sqrt(ensemble.m) * ensemble.scale
-    c, iters, converged = _group_bp_ball(matrix, b, radius, ensemble.frame.dim_subspace, cfg)
-    x_hat = ensemble.frame.expand(
-        BlockVector(c.reshape(ensemble.n, ensemble.frame.dim_subspace), "coefficient")
-    )
-    residual = max(0.0, float(np.linalg.norm(matrix @ c - b)) - radius)
-    return SolveReport(
-        x_hat=x_hat,
-        objective=norm_l21(x_hat),
-        constraint_residual=residual,
-        iterations=iters,
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _solve(ensemble, y, config, radius=eta * math.sqrt(ensemble.m) * ensemble.scale)
 
 
 def solve_block_baseline(ensemble: MeasurementEnsemble, y: BlockVector,
                          config: Optional[SolverConfig] = None) -> SolveReport:
     """Block-sparsity baseline: same objective and measurements but blocks
     range over all of R^d, with no subspace knowledge."""
-    cfg = config or SolverConfig()
-    _check_measurements(ensemble, y)
-    t0 = time.perf_counter()
-    d = ensemble.frame.dim_ambient
-    matrix = ensemble.blockwise_matrix()
-    b = y.to_flat()
-    c, iters, converged = _group_bp_equality(matrix, b, d, cfg)
-    x_hat = BlockVector(c.reshape(ensemble.n, d), "ambient")
-    residual = float(np.linalg.norm(matrix @ c - b))
-    return SolveReport(
-        x_hat=x_hat,
-        objective=norm_l21(x_hat),
-        constraint_residual=residual,
-        iterations=iters,
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _solve(ensemble, y, config, blockwise=True)
 
 
 def orthogonal_closed_form(ensemble: MeasurementEnsemble, y: BlockVector) -> BlockVector:

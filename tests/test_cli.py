@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from ffsparse.cli import main
@@ -65,6 +66,20 @@ def test_solve_infeasible_sparsity():
     assert result.exit_code == 3
 
 
+def test_solve_on_frame_file_matches_drawn_frame(tmp_path):
+    path = tmp_path / "frame.json"
+    assert run("frame", "gen", "-n", "10", "-d", "4", "-k", "1", "--seed", "2",
+               "--out", str(path)).exit_code == 0
+    docs = []
+    for frame_args in (["--frame", str(path)], ["-n", "10", "-d", "4", "-k", "1", "--frame-seed", "2"]):
+        result = run("solve", *frame_args, "-m", "8", "-s", "1", "--seed", "5")
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        del doc["wall_time"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_solve_requires_frame_parameters():
     result = run("solve", "-m", "4", "-s", "1")
     assert result.exit_code == 2
@@ -97,6 +112,13 @@ def test_certificate_dump(tmp_path):
     assert len(doc["residual_norms_l2"]) == len(doc["partition"]) + 1
     assert "deviation" in doc["gram"]
     assert isinstance(doc["passed"], bool)
+
+
+@pytest.mark.parametrize("sizes", [("-s", "0", "-m", "4"), ("-s", "7", "-m", "4"),
+                                   ("-s", "1", "-m", "0")], ids=["s=0", "s>N", "m=0"])
+def test_certificate_infeasible_sizes(sizes):
+    result = run("certificate", "-n", "6", "-d", "3", "-k", "1", *sizes)
+    assert result.exit_code == 3
 
 
 def test_experiment_runs_tiny_spec(tmp_path):

@@ -1,12 +1,17 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ffsparse import (
     ExperimentSpec,
     InfeasibleConfigError,
     SpecValidationError,
+    draw_matrix,
+    random_frame,
+    random_support,
     run_experiment,
+    sparse_signal,
     spec_from_dict,
     spec_from_json,
 )
@@ -295,3 +300,21 @@ def test_frames_reach_jobs_with_incoherence_cached(monkeypatch):
     monkeypatch.setattr(experiments, "_run_cell_job", recording_job)
     run_experiment(tiny_spec(s_list=[1, 2]))
     assert cached and all(cached)
+
+
+# -- shared seeded instances ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_seeded_instance_matches_hand_written_draws(kind):
+    from ffsparse.experiments import seeded_instance
+
+    frame = random_frame(12, 4, 2, 3)
+    support, x, ensemble = seeded_instance(frame, kind, 7, 3, matrix_seed=11, signal_seed=29)
+    rng = np.random.default_rng(29)
+    expected_support = random_support(12, 3, rng)
+    expected_x = sparse_signal(frame, expected_support, rng)
+    expected = draw_matrix(kind, 7, 12, 11, frame, normalized=True)
+    assert np.array_equal(support.indices, expected_support.indices)
+    assert np.array_equal(x.blocks, expected_x.blocks)
+    assert np.array_equal(ensemble.matrix, expected.matrix)
+    assert ensemble.scale == expected.scale
