@@ -53,15 +53,15 @@ __all__ = [
     "run_experiment",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TRIAL_COLUMNS = (
     "experiment", "seed", "N", "d", "k", "s", "m", "lambda_eff", "kind",
-    "program", "success", "rel_err", "objective", "iterations", "y_hash",
+    "program", "success", "rel_err", "objective", "iterations", "y_hash", "converged",
 )
-AUDIT_COLUMNS = TRIAL_COLUMNS + (
+AUDIT_COLUMNS = TRIAL_COLUMNS[:-1] + (
     "deviation", "inv_norm", "cross_max", "on_support_gap", "off_support_max",
-    "h_norm", "cert_pass",
+    "h_norm", "cert_pass", "converged",
 )
 
 _MAX_CELLS = 999
@@ -193,6 +193,7 @@ class TrialRecord:
     objective: float
     iterations: int
     y_hash: str
+    converged: bool  # False: the solve stopped at SolverConfig.max_iter
     deviation: Optional[float] = None
     inv_norm: Optional[float] = None
     cross_max: Optional[float] = None
@@ -291,8 +292,8 @@ def _trial_record(spec: ExperimentSpec, cell: dict, trial: int, seed: int, leff:
         experiment=spec.name, seed=seed, N=spec.N, d=cell["d"], k=spec.k,
         s=cell["s"], m=cell["m"], lambda_eff=leff, kind=spec.kind, program=program,
         success=rel <= spec.success_rel_err, rel_err=rel, objective=report.objective,
-        iterations=report.iterations, y_hash=_hash_blocks(y), **extras,
-        wall_time=report.wall_time, cell_index=cell["index"], trial_index=trial,
+        iterations=report.iterations, y_hash=_hash_blocks(y), converged=report.converged,
+        wall_time=report.wall_time, cell_index=cell["index"], trial_index=trial, **extras,
     )
 
 
@@ -592,7 +593,8 @@ def _run_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[Tria
 
 def _aggregate(spec: ExperimentSpec, cells: list[dict], rows: list[TrialRecord]) -> dict:
     experiment = _EXPERIMENTS[spec.name]
-    summary: dict = {"experiment": spec.name, "notes": [], "cells": []}
+    summary: dict = {"experiment": spec.name, "notes": [], "cells": [],
+                     "capped": sum(not r.converged for r in rows)}
     by_cell: dict[tuple, list[TrialRecord]] = {}
     for row in rows:
         by_cell.setdefault((row.cell_index, row.program), []).append(row)
@@ -643,6 +645,7 @@ def _write_dat(path: Path, spec: ExperimentSpec, summary: dict) -> None:
         values = [entry[c] for c in cols] + [entry.get(c, "") for c in extra]
         lines.append(" ".join(_fmt(v) for v in values))
     lines += _EXPERIMENTS[spec.name].report(spec, summary)[0]
+    lines.append(f"# capped {summary['capped']}")
     lines += [f"# note {note}" for note in summary["notes"]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -723,6 +726,7 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
             echo(f"note: {note}")
         for line in experiment.report(spec, summary)[1]:
             echo(line)
+        echo(f"capped solves: {summary['capped']}")
 
     return ExperimentResult(spec=spec, rows=rows, summary=summary,
                             csv_path=csv_path, dat_path=dat_path)

@@ -1,7 +1,10 @@
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from ffsparse import (
     ExperimentSpec,
@@ -150,6 +153,31 @@ def test_csv_uses_lf_and_roundtrip_floats(tmp_path):
     for line in lines[1:]:
         value = line.split(",")[rel_err_col]
         assert repr(float(value)) == value  # shortest round-trip form
+
+
+def test_capped_solves_are_reported(tmp_path, monkeypatch):
+    import ffsparse.experiments as experiments
+    from ffsparse import SolverConfig
+    from ffsparse.cli import main
+
+    monkeypatch.setattr(experiments, "SolverConfig",
+                        lambda **kwargs: SolverConfig(max_iter=1, **kwargs))
+    spec = tiny_spec(name="ff_vs_block", m_list=[3, 5], trials=2)
+    result = run_experiment(spec, out_csv=tmp_path / "out.csv")
+    assert len(result.rows) == 8 and not any(row.converged for row in result.rows)
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "converged"
+    assert all(line.split(",")[-1] == "0" for line in lines[1:])
+    dat = (tmp_path / "out.dat").read_text().splitlines()
+    assert dat[0].endswith("(schema v2)")
+    assert "# capped 8" in dat
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dataclasses.asdict(spec)))
+    echo = CliRunner().invoke(main, ["experiment", "ff_vs_block", "--spec", str(spec_path),
+                                     "--out", str(tmp_path / "cli.csv")])
+    assert echo.exit_code == 0, echo.output
+    assert "capped solves: 8" in echo.output
 
 
 # -- paired baseline comparison ------------------------------------------------------
