@@ -5,7 +5,8 @@ and emits one CSV of per-trial rows plus a gnuplot-friendly ``.dat`` summary
 next to it.  Output is fully deterministic: trial seeds are derived as
 base_seed * 10^6 + cell_index * 10^3 + trial_index, rows are sorted before
 writing, and floats are printed as shortest round-trip decimals, so the same
-spec and seed always produce byte-identical files.
+spec and seed produce byte-identical files for a fixed BLAS thread count
+(the last digits of some solves depend on it).
 
 Each experiment is one entry of the ``_EXPERIMENTS`` table: the grids it
 needs, how its grid expands into cells, the signal it recovers, the
@@ -45,6 +46,7 @@ __all__ = [
     "SpecValidationError",
     "InfeasibleConfigError",
     "EXPERIMENT_NAMES",
+    "SIGNAL_SEED_OFFSET",
     "TRIAL_COLUMNS",
     "AUDIT_COLUMNS",
     "spec_from_dict",
@@ -67,7 +69,10 @@ AUDIT_COLUMNS = TRIAL_COLUMNS[:-1] + (
 _MAX_CELLS = 999
 _MAX_TRIALS = 999
 _NOISE_SEED_OFFSET = 10**12
-_AUDIT_SIGNAL_OFFSET = 5 * 10**11
+# audit cells and the CLI draw a signal with default_rng(seed + SIGNAL_SEED_OFFSET)
+# next to a matrix drawn with seed: the same seed for both would tie the
+# matrix entries to the support
+SIGNAL_SEED_OFFSET = 5 * 10**11
 
 
 class SpecValidationError(ValueError):
@@ -193,7 +198,7 @@ class TrialRecord:
     objective: float
     iterations: int
     y_hash: str
-    converged: bool  # False: the solve stopped at SolverConfig.max_iter
+    converged: bool  # False: the solve ended without meeting its stopping test
     deviation: Optional[float] = None
     inv_norm: Optional[float] = None
     cross_max: Optional[float] = None
@@ -403,7 +408,7 @@ def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
     for trial in range(spec.trials):
         seed = _trial_seed(spec.base_seed, cell["index"], trial)
         support, x, ensemble = seeded_instance(frame, spec.kind, cell["m"], cell["s"],
-                                               seed, seed + _AUDIT_SIGNAL_OFFSET)
+                                               seed, seed + SIGNAL_SEED_OFFSET)
         y = ensemble.measure(x)
         gram = gram_conditions(ensemble, support)
         cert = golfing_build(ensemble, x)

@@ -162,7 +162,9 @@ def test_capped_solves_are_reported(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "SolverConfig",
                         lambda **kwargs: SolverConfig(max_iter=1, **kwargs))
-    spec = tiny_spec(name="ff_vs_block", m_list=[3, 5], trials=2)
+    # m <= 2 keeps both operators wide (at most 6 rows against 8 subspace and
+    # 24 block coefficients), so no program is solved without iterating
+    spec = tiny_spec(name="ff_vs_block", m_list=[1, 2], trials=2)
     result = run_experiment(spec, out_csv=tmp_path / "out.csv")
     assert len(result.rows) == 8 and not any(row.converged for row in result.rows)
     lines = (tmp_path / "out.csv").read_text().splitlines()
