@@ -113,27 +113,26 @@ def gram_conditions(ensemble: MeasurementEnsemble, support: BlockSupport) -> Gra
     The restricted Gram on the signal space is the sk x sk matrix of basis-
     conjugated blocks; its deviation from the identity, the norm of its
     inverse, and the largest off-support cross column norm are computed
-    exactly with dense linear algebra.
+    exactly with dense linear algebra.  The cross column norms are the
+    largest singular values of the off-support sk x k blocks of sub^T M,
+    taken in one batched SVD.  This is the one place both quantities are
+    computed; ``empirical_tail`` reads them from here.
     """
     _require_normalized(ensemble)
     if support.size < 1:
         raise ValueError("support must be nonempty")
     frame = ensemble.frame
-    k = frame.dim_subspace
+    n, k = frame.n_subspaces, frame.dim_subspace
     matrix = ensemble.coefficient_matrix()
-    cols = _support_columns(support, k)
-    sub = matrix[:, cols]
-    gram = sub.T @ sub
-    ev = np.linalg.eigvalsh(gram)
+    sub = matrix[:, _support_columns(support, k)]
+    ev = np.linalg.eigvalsh(sub.T @ sub)
     deviation = float(max(abs(ev[0] - 1.0), abs(ev[-1] - 1.0)))
     inv_norm = float("inf") if ev[0] <= 1e-14 else 1.0 / float(ev[0])
 
-    cross = sub.T @ matrix  # (sk, Nk); scan off-support column blocks
-    cross_max = 0.0
-    for j in support.complement(frame.n_subspaces):
-        block = cross[:, j * k : (j + 1) * k]
-        cross_max = max(cross_max, float(np.linalg.svd(block, compute_uv=False)[0]))
-    return GramConditionReport(inv_norm=inv_norm, cross_max=cross_max, deviation=deviation)
+    cross = (sub.T @ matrix).reshape(-1, n, k)[:, support.complement(n)]
+    top = np.linalg.svd(cross.transpose(1, 0, 2), compute_uv=False)[:, 0]
+    return GramConditionReport(inv_norm=inv_norm, cross_max=float(top.max(initial=0.0)),
+                               deviation=deviation)
 
 
 def default_partition(m: int, s: int, n: int) -> list[int]:
@@ -346,10 +345,12 @@ def empirical_tail(quantity: str, frame: FusionFrame, support: BlockSupport, m: 
     """Estimate how often a concentration event exceeds its threshold over
     fresh measurement draws, next to the matching closed-form bound.
 
-    For ``gram_deviation`` the parameter ``t`` plays the role of the
-    deviation level; the other quantities use the threshold built from the
-    support-restricted incoherence norms plus ``t``.  Fixed direction
-    vectors are drawn once from the seed; each trial redraws the matrix.
+    For ``gram_deviation`` and ``cross_gram`` the parameter ``t`` is the
+    threshold itself, and each trial's value is the ``deviation`` or
+    ``cross_max`` that ``gram_conditions`` reports; the other quantities use
+    the threshold built from the support-restricted incoherence norms plus
+    ``t`` and apply the restricted operator to a fixed direction, drawn once
+    from the seed.  Each trial redraws the matrix.
     """
     if quantity not in TAIL_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -359,63 +360,48 @@ def empirical_tail(quantity: str, frame: FusionFrame, support: BlockSupport, m: 
     s = support.size
     k = frame.dim_subspace
     n = frame.n_subspaces
-    rng = np.random.default_rng(seed)
-
-    v = rng.standard_normal((s, k))
-    row_norms = np.linalg.norm(v, axis=1)
-    if quantity == "cross_image":
-        v = v * (kappa / row_norms.max())
-    elif quantity == "gram_error_l2":
-        v = v / np.linalg.norm(v)
-    elif quantity == "gram_error_blockmax":
-        v = v / row_norms.max()
-    v_flat = v.ravel()
+    cols = _support_columns(support, k)
+    off_idx = support.complement(n)
+    v = np.random.default_rng(seed).standard_normal((s, k))
+    top = np.linalg.norm(v, axis=1).max()
 
     if quantity == "gram_deviation":
         threshold = t
         bound = bounds.gram_deviation_tail(m, t, norms.row_rms_sub, norms.spectral_sub, s, k)
-    elif quantity == "cross_image":
-        threshold = kappa * norms.row_rms / math.sqrt(m) + t
-        bound = bounds.cross_image_tail(m, t, kappa, norms.row_rms, norms.row_sum, n)
-    elif quantity == "gram_error_l2":
-        threshold = norms.row_rms_sub / math.sqrt(m) + t
-        bound = bounds.gram_error_l2_tail(m, t, norms.row_rms_sub, norms.row_sum_sub)
-    elif quantity == "gram_error_blockmax":
-        threshold = norms.row_rms_sub / math.sqrt(m) + t
-        bound = bounds.gram_error_blockmax_tail(m, t, norms.row_rms_sub, norms.row_sum_sub, s)
-    else:
+
+        def value(ensemble):
+            return gram_conditions(ensemble, support).deviation
+    elif quantity == "cross_gram":
         threshold = t
         bound = bounds.cross_gram_tail(m, t, norms.row_rms, n, s, k)
 
-    off_idx = support.complement(n)
-    exceed = 0
-    for trial in range(trials):
-        ensemble = draw_matrix(kind, m, n, seed * 1_000_000 + trial, frame, normalized=True)
-        matrix = ensemble.coefficient_matrix()
-        cols = _support_columns(support, k)
-        sub = matrix[:, cols]
-        if quantity == "gram_deviation":
-            ev = np.linalg.eigvalsh(sub.T @ sub)
-            value = float(max(abs(ev[0] - 1.0), abs(ev[-1] - 1.0)))
-        elif quantity == "cross_image":
-            image = sub @ v_flat
-            value = 0.0
-            for j in off_idx:
-                value = max(value, float(np.linalg.norm(
-                    matrix[:, j * k : (j + 1) * k].T @ image)))
-        elif quantity == "gram_error_l2":
-            err = sub.T @ (sub @ v_flat) - v_flat
-            value = float(np.linalg.norm(err))
-        elif quantity == "gram_error_blockmax":
-            err = sub.T @ (sub @ v_flat) - v_flat
-            value = float(np.linalg.norm(err.reshape(-1, k), axis=1).max())
+        def value(ensemble):
+            return gram_conditions(ensemble, support).cross_max
+    elif quantity == "cross_image":
+        v = (v * (kappa / top)).ravel()
+        threshold = kappa * norms.row_rms / math.sqrt(m) + t
+        bound = bounds.cross_image_tail(m, t, kappa, norms.row_rms, norms.row_sum, n)
+
+        def value(ensemble):
+            matrix = ensemble.coefficient_matrix()
+            cross = (matrix.T @ (matrix[:, cols] @ v)).reshape(n, k)[off_idx]
+            return float(np.linalg.norm(cross, axis=1).max(initial=0.0))
+    else:  # gram_error_l2, gram_error_blockmax: (sub^T sub - I) v
+        l2 = quantity == "gram_error_l2"
+        v = (v / (np.linalg.norm(v) if l2 else top)).ravel()
+        threshold = norms.row_rms_sub / math.sqrt(m) + t
+        if l2:
+            bound = bounds.gram_error_l2_tail(m, t, norms.row_rms_sub, norms.row_sum_sub)
         else:
-            cross = sub.T @ matrix
-            value = 0.0
-            for j in off_idx:
-                block = cross[:, j * k : (j + 1) * k]
-                value = max(value, float(np.linalg.svd(block, compute_uv=False)[0]))
-        if value >= threshold:
-            exceed += 1
+            bound = bounds.gram_error_blockmax_tail(m, t, norms.row_rms_sub, norms.row_sum_sub, s)
+
+        def value(ensemble):
+            sub = ensemble.coefficient_matrix()[:, cols]
+            err = (sub.T @ (sub @ v) - v).reshape(-1, k)
+            return float(np.linalg.norm(err) if l2 else np.linalg.norm(err, axis=1).max())
+
+    exceed = sum(
+        value(draw_matrix(kind, m, n, seed * 1_000_000 + trial, frame, normalized=True)) >= threshold
+        for trial in range(trials))
     return TailAudit(quantity=quantity, frequency=exceed / trials, bound=bound,
                      threshold=threshold, trials=trials)

@@ -19,7 +19,6 @@ from .blocks import norm_l0_block, norm_l21
 from .certificate import golfing_build, gram_conditions, verify_inexact
 from .experiments import (
     EXPERIMENT_NAMES,
-    SIGNAL_SEED_OFFSET,
     InfeasibleConfigError,
     SpecValidationError,
     run_experiment,
@@ -151,12 +150,6 @@ def _frame_options(command):
     return with_frame
 
 
-def _instance(fr, kind: str, measurements: int, sparsity: int, seed: int):
-    """The seeded instance of ``solve`` and ``certificate``: the matrix is
-    drawn with ``seed``, the support and signal with seed + SIGNAL_SEED_OFFSET."""
-    return seeded_instance(fr, kind, measurements, sparsity, seed, seed + SIGNAL_SEED_OFFSET)
-
-
 def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
     if not 1 <= sparsity <= fr.n_subspaces:
         _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
@@ -180,7 +173,7 @@ def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
 def solve(fr, kind, measurements, sparsity, seed, eta, program, out):
     """Generate a seeded instance, solve it, and report the outcome."""
     _check_sizes(fr, sparsity, measurements)
-    _, x, ensemble = _instance(fr, kind, measurements, sparsity, seed)
+    _, x, ensemble = seeded_instance(fr, kind, measurements, sparsity, seed)
     y = ensemble.measure(x)
     cfg = SolverConfig()
     if eta is not None:
@@ -259,7 +252,7 @@ def certificate(fr, kind, measurements, sparsity, seed, out):
     """Build the golfing dual certificate for a seeded instance and dump the
     per-step residuals and condition values as JSON."""
     _check_sizes(fr, sparsity, measurements)
-    support, x, ensemble = _instance(fr, kind, measurements, sparsity, seed)
+    support, x, ensemble = seeded_instance(fr, kind, measurements, sparsity, seed)
     gram = gram_conditions(ensemble, support)
     cert = golfing_build(ensemble, x)
     passed, reasons = verify_inexact(cert, gram)

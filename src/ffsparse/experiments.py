@@ -69,7 +69,7 @@ AUDIT_COLUMNS = TRIAL_COLUMNS[:-1] + (
 _MAX_CELLS = 999
 _MAX_TRIALS = 999
 _NOISE_SEED_OFFSET = 10**12
-# audit cells and the CLI draw a signal with default_rng(seed + SIGNAL_SEED_OFFSET)
+# seeded_instance draws the signal with default_rng(seed + SIGNAL_SEED_OFFSET)
 # next to a matrix drawn with seed: the same seed for both would tie the
 # matrix entries to the support
 SIGNAL_SEED_OFFSET = 5 * 10**11
@@ -277,15 +277,15 @@ def _fit_text(fit: dict) -> str:
     return f"slope={_fmt(fit['slope'])} intercept={_fmt(fit['intercept'])} r2={_fmt(fit['r2'])}"
 
 
-def seeded_instance(frame: FusionFrame, kind: str, m: int, s: int, matrix_seed: int,
-                    signal_seed: int) -> tuple[BlockSupport, BlockVector, MeasurementEnsemble]:
+def seeded_instance(frame: FusionFrame, kind: str, m: int, s: int,
+                    seed: int) -> tuple[BlockSupport, BlockVector, MeasurementEnsemble]:
     """A random s-block support, a unit-norm sparse signal on it (both drawn
-    from default_rng(signal_seed)) and a normalized m-row ensemble of the
-    given kind drawn with matrix_seed."""
-    rng = np.random.default_rng(signal_seed)
+    from default_rng(seed + SIGNAL_SEED_OFFSET)) and a normalized m-row
+    ensemble of the given kind drawn with seed."""
+    rng = np.random.default_rng(seed + SIGNAL_SEED_OFFSET)
     support = random_support(frame.n_subspaces, s, rng)
     x = sparse_signal(frame, support, rng)
-    ensemble = draw_matrix(kind, m, frame.n_subspaces, matrix_seed, frame, normalized=True)
+    ensemble = draw_matrix(kind, m, frame.n_subspaces, seed, frame, normalized=True)
     return support, x, ensemble
 
 
@@ -407,8 +407,7 @@ def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
     rows = []
     for trial in range(spec.trials):
         seed = _trial_seed(spec.base_seed, cell["index"], trial)
-        support, x, ensemble = seeded_instance(frame, spec.kind, cell["m"], cell["s"],
-                                               seed, seed + SIGNAL_SEED_OFFSET)
+        support, x, ensemble = seeded_instance(frame, spec.kind, cell["m"], cell["s"], seed)
         y = ensemble.measure(x)
         gram = gram_conditions(ensemble, support)
         cert = golfing_build(ensemble, x)
@@ -588,8 +587,7 @@ def _cell_signal(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> BlockV
 def _run_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
     if cell["m"] < 1:
         return []
-    cfg = SolverConfig(success_rel_err=spec.success_rel_err)
-    return _EXPERIMENTS[spec.name].run_cell(spec, cell, frame, cfg)
+    return _EXPERIMENTS[spec.name].run_cell(spec, cell, frame, SolverConfig())
 
 
 # ---------------------------------------------------------------------------

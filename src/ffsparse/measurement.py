@@ -7,7 +7,9 @@ blockwise one with blocks a_ij I_d.  They agree on signals whose blocks lie
 in their subspaces, which is why the projected operator can stand in for the
 plain one throughout.  A ``normalized`` flag selects the rescaled operator
 A / sqrt(m) used by all conditioning statements; there is a single stored
-matrix either way.
+matrix either way.  The dense block operators are built on first use,
+already in the ensemble's scale, and every later call returns that same
+read-only array.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class MeasurementEnsemble:
         if self._frame is None:
             raise ValueError("no frame attached to this ensemble")
         return self._frame
-
-    @property
-    def has_frame(self) -> bool:
-        return self._frame is not None
 
     @property
     def normalized(self) -> bool:
@@ -132,24 +130,29 @@ class MeasurementEnsemble:
 
         Applying it to coefficients c equals measuring the expanded signal;
         the subspace-membership constraint becomes unconstrained coefficients.
+        Built once, in the ensemble's scale; every call returns the same
+        read-only array.
         """
         if self._coeff_cache is None:
             frame = self.frame
             m, n = self._matrix.shape
             d, k = frame.dim_ambient, frame.dim_subspace
             mat = np.einsum("ij,jdk->idjk", self._matrix, frame.bases).reshape(m * d, n * k)
+            mat = self.scale * mat
             mat.setflags(write=False)
             self._coeff_cache = mat
-        return self.scale * self._coeff_cache
+        return self._coeff_cache
 
     def blockwise_matrix(self) -> np.ndarray:
-        """Dense (m*d, N*d) matrix of the plain block operator, blocks a_ij I_d."""
+        """Dense (m*d, N*d) matrix of the plain block operator, blocks
+        scale * a_ij I_d.  Built once and shared read-only, like
+        ``coefficient_matrix``."""
         if self._plain_cache is None:
             d = self.frame.dim_ambient
-            mat = np.kron(self._matrix, np.eye(d))
+            mat = self.scale * np.kron(self._matrix, np.eye(d))
             mat.setflags(write=False)
             self._plain_cache = mat
-        return self.scale * self._plain_cache
+        return self._plain_cache
 
     def __repr__(self) -> str:
         return (

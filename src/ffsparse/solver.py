@@ -74,7 +74,6 @@ class SolverConfig:
     max_iter: int = 100
     tol_primal: float = 1e-9
     tol_dual: float = 1e-9
-    success_rel_err: float = 1e-4
 
     def __post_init__(self):
         if self.max_iter < 1:

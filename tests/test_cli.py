@@ -84,17 +84,17 @@ def test_solve_signal_is_independent_of_the_matrix():
     # the signal seed is offset from the matrix seed: with one seed for both,
     # the support block's entry in the first row is +1 in 44.3% of seeds
     from ffsparse import norm_l21, random_frame
-    from ffsparse.cli import _instance
+    from ffsparse.experiments import seeded_instance
 
     fr = random_frame(10, 4, 1, 0)
     plus = 0
     for seed in range(4000):
-        support, _, ensemble = _instance(fr, "bernoulli", 4, 1, seed)
+        support, _, ensemble = seeded_instance(fr, "bernoulli", 4, 1, seed)
         plus += ensemble.matrix[0, support.indices[0]] > 0
     assert abs(plus / 4000 - 0.5) <= 0.03
     result = run("solve", "-n", "10", "-d", "4", "-k", "1", "-m", "8", "-s", "2", "--seed", "5")
     assert result.exit_code == 0, result.output
-    _, x, _ = _instance(fr, "bernoulli", 8, 2, 5)
+    _, x, _ = seeded_instance(fr, "bernoulli", 8, 2, 5)
     assert json.loads(result.output)["true_objective"] == norm_l21(x)
 
 

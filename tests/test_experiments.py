@@ -339,8 +339,8 @@ def test_seeded_instance_matches_hand_written_draws(kind):
     from ffsparse.experiments import seeded_instance
 
     frame = random_frame(12, 4, 2, 3)
-    support, x, ensemble = seeded_instance(frame, kind, 7, 3, matrix_seed=11, signal_seed=29)
-    rng = np.random.default_rng(29)
+    support, x, ensemble = seeded_instance(frame, kind, 7, 3, seed=11)
+    rng = np.random.default_rng(11 + 5 * 10**11)
     expected_support = random_support(12, 3, rng)
     expected_x = sparse_signal(frame, expected_support, rng)
     expected = draw_matrix(kind, 7, 12, 11, frame, normalized=True)

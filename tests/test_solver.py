@@ -378,7 +378,7 @@ def _ff_vs_block_instance(trial):
     frame = _group_frame(spec, cell)
     x = _cell_signal(spec, cell, frame)
     e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
-    return e, e.measure(x), SolverConfig(success_rel_err=spec.success_rel_err)
+    return e, e.measure(x), SolverConfig()
 
 
 def test_penalty_cycle_reproducer_converges():
