@@ -36,7 +36,9 @@ last finite iterate and converged=False.
 Along the curved boundary of the ball an interior-point iterate lies only
 about sqrt(gap) from the minimizer, so a converged ball solve ends with a
 few Newton steps on the optimality conditions over its active groups, whose
-result is kept only when it meets every one of them.
+result is kept only when it meets every one of them; when it does not, the
+steps are retried once on the active set read from the iterate's dual
+scores.
 """
 
 from __future__ import annotations
@@ -378,12 +380,26 @@ def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float
     An interior-point iterate lies only about sqrt(gap) from the minimizer
     along the curved boundary of the ball, while these conditions are smooth
     wherever ||c_j|| > 0, so a few steps reach the minimizer to rounding.
-    Returns the polished point, with inactive groups exactly 0, when it
-    meets every optimality condition (nu ||M_j^T r|| <= 1 off the active
-    groups included), else None."""
+    The active groups are those above 1e-6 of the largest block norm.  When
+    that set fails, a group just above the cut may be inactive, or one
+    below it active; the one retry reads the set from the iterate's dual
+    scores instead, keeping a group when its relative block norm exceeds its
+    dual slack 1 - nu ||M_j^T r||.  Returns the polished point, with
+    inactive groups exactly 0, when it meets every optimality condition
+    (nu ||M_j^T r|| <= 1 off the active groups included), else None."""
     k = block_len
     norms = np.linalg.norm(c.reshape(-1, k), axis=1)
     active = norms > 1e-6 * norms.max()
+    polished = _newton_on_active(c, matrix, b, radius, k, nu, active)
+    if polished is None:
+        slack = 1.0 - nu * np.linalg.norm((matrix.T @ (matrix @ c - b)).reshape(-1, k), axis=1)
+        polished = _newton_on_active(c, matrix, b, radius, k, nu, norms / norms.max() > slack)
+    return polished
+
+
+def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float,
+                      k: int, nu: float, active: np.ndarray) -> Optional[np.ndarray]:
+    """The Newton iteration of ``_polish_ball`` on the given active groups."""
     cols = np.flatnonzero(np.repeat(active, k))
     sub = matrix[:, cols]
     gram = sub.T @ sub
@@ -398,9 +414,10 @@ def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float
         g = sub.T @ r
         f = np.append(unit.ravel() + x[-1] * g, 0.5 * (r @ r / radius**2 - 1.0))
         size = float(np.abs(f).max())
-        if not size < best:
-            break
-        best, best_x = size, x
+        if size < best:
+            best, best_x = size, x
+        elif best <= 1e-10:
+            break  # converged to rounding; before that a step may overshoot
         jac = np.zeros((x.size, x.size))
         jac[:-1, :-1] = x[-1] * gram
         jac[idx[:, :, None], idx[:, None, :]] += (
