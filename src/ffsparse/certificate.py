@@ -113,23 +113,25 @@ def gram_conditions(ensemble: MeasurementEnsemble, support: BlockSupport) -> Gra
     The restricted Gram on the signal space is the sk x sk matrix of basis-
     conjugated blocks; its deviation from the identity, the norm of its
     inverse, and the largest off-support cross column norm are computed
-    exactly with dense linear algebra.  The cross column norms are the
-    largest singular values of the off-support sk x k blocks of sub^T M,
-    taken in one batched SVD.  This is the one place both quantities are
-    computed; ``empirical_tail`` reads them from here.
+    exactly with dense linear algebra.  Both the restricted Gram G[S, S] and
+    the cross rows G[S, :] are read from the ensemble's Gram G = M^T M.  The
+    cross column norms are the largest singular values of the off-support
+    sk x k blocks of G[S, :], taken in one batched SVD.  This is the one
+    place both quantities are computed; ``empirical_tail`` reads them from
+    here.
     """
     _require_normalized(ensemble)
     if support.size < 1:
         raise ValueError("support must be nonempty")
     frame = ensemble.frame
     n, k = frame.n_subspaces, frame.dim_subspace
-    matrix = ensemble.coefficient_matrix()
-    sub = matrix[:, _support_columns(support, k)]
-    ev = np.linalg.eigvalsh(sub.T @ sub)
+    cols = _support_columns(support, k)
+    rows = ensemble.gram()[cols]
+    ev = np.linalg.eigvalsh(rows[:, cols])
     deviation = float(max(abs(ev[0] - 1.0), abs(ev[-1] - 1.0)))
     inv_norm = float("inf") if ev[0] <= 1e-14 else 1.0 / float(ev[0])
 
-    cross = (sub.T @ matrix).reshape(-1, n, k)[:, support.complement(n)]
+    cross = rows.reshape(-1, n, k)[:, support.complement(n)]
     top = np.linalg.svd(cross.transpose(1, 0, 2), compute_uv=False)[:, 0]
     return GramConditionReport(inv_norm=inv_norm, cross_max=float(top.max(initial=0.0)),
                                deviation=deviation)
@@ -199,8 +201,9 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
     k = frame.dim_subspace
     d = frame.dim_ambient
     cols = _support_columns(support, k)
-    # raw (unscaled) coefficient matrix: golfing rescales per group by 1/m_n
-    matrix_raw = ensemble.coefficient_matrix() * math.sqrt(m)
+    # golfing rescales the raw (unscaled) rows of group n by 1/m_n; on the
+    # normalized matrix, whose rows are raw / sqrt(m), that is the factor m/m_n
+    matrix = ensemble.coefficient_matrix()
 
     sgn_coeff = frame.coefficients(x).blocks[support.indices]
     sgn_coeff = (sgn_coeff / norms[support.indices][:, None]).ravel()
@@ -215,16 +218,17 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
     offset = 0
     for m_n in sizes:
         rows = slice(offset * d, (offset + m_n) * d)
-        group = matrix_raw[rows]
+        group = matrix[rows]
         group_s = group[:, cols]
-        image = group_s @ w  # A(n)_S w(n-1), length m_n * d
-        u_coeff = u_coeff + (group.T @ image) / m_n
+        factor = m / m_n
+        image = group_s @ w  # A(n)_S w(n-1) / sqrt(m), length m_n * d
+        u_coeff = u_coeff + factor * (group.T @ image)
         w_next = sgn_coeff - u_coeff[cols]
         # step recursion: w(n) = [I - (1/m_n) A(n)_S* A(n)_S] w(n-1)
-        w_check = w - (group_s.T @ image) / m_n
+        w_check = w - factor * (group_s.T @ image)
         if float(np.linalg.norm(w_next - w_check)) > _IDENTITY_TOL:
             raise RuntimeError("golfing step recursion violated beyond 1e-9")
-        h_rows[offset : offset + m_n] = (math.sqrt(m) / m_n) * image.reshape(m_n, d)
+        h_rows[offset : offset + m_n] = factor * image.reshape(m_n, d)
         w = w_next
         w_history.append(w.copy())
         res_l2.append(float(np.linalg.norm(w)))
@@ -236,8 +240,8 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
     offset = 0
     for step, m_n in enumerate(sizes):
         rows = slice(offset * d, (offset + m_n) * d)
-        group = matrix_raw[rows]
-        u_tel += group.T @ (group[:, cols] @ w_history[step]) / m_n
+        group = matrix[rows]
+        u_tel += (m / m_n) * (group.T @ (group[:, cols] @ w_history[step]))
         offset += m_n
     if float(np.linalg.norm(u_tel - u_coeff)) > _IDENTITY_TOL:
         raise RuntimeError("golfing telescoping identity violated beyond 1e-9")

@@ -4,7 +4,9 @@ A fusion frame here is N subspaces of R^d, each of dimension k, stored via
 orthonormal bases.  The incoherence matrix collects the pairwise spectral
 norms of projector products, which equal the largest cosines of principal
 angles between the subspaces; its restricted row sums drive every sample
-complexity bound in this package.
+complexity bound in this package.  The cross-Gram holds the products
+U_i^T U_j themselves; the measurement layer builds the Gram of its
+coefficient operator from it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class FusionFrame:
     weights (default 1); they enter only the frame-bound diagnostics.
     """
 
-    __slots__ = ("_bases", "_weights", "_seed", "_incoherence_cache")
+    __slots__ = ("_bases", "_weights", "_seed", "_incoherence_cache", "_cross_gram_cache")
 
     def __init__(self, bases, weights: Optional[Sequence[float]] = None, seed: Optional[int] = None):
         arr = np.array(bases, dtype=float, copy=True)
@@ -70,6 +72,7 @@ class FusionFrame:
         self._weights = w
         self._seed = seed
         self._incoherence_cache: Optional["IncoherenceMatrix"] = None
+        self._cross_gram_cache: Optional[np.ndarray] = None
 
     @property
     def n_subspaces(self) -> int:
@@ -106,6 +109,18 @@ class FusionFrame:
         """Apply P_j to row j of an (N, d) array."""
         coeff = np.einsum("jdk,jd->jk", self._bases, blocks)
         return np.einsum("jdk,jk->jd", self._bases, coeff)
+
+    def cross_gram(self) -> np.ndarray:
+        """The (N*k, N*k) matrix with k x k block (i, j) equal to U_i^T U_j:
+        the Gram of all basis vectors side by side.  Built once, kept
+        read-only, and pickled with the frame."""
+        if self._cross_gram_cache is None:
+            n, d, k = self._bases.shape
+            side = self._bases.transpose(1, 0, 2).reshape(d, n * k)
+            gram = side.T @ side
+            gram.setflags(write=False)
+            self._cross_gram_cache = gram
+        return self._cross_gram_cache
 
     def expand(self, c: BlockVector) -> BlockVector:
         """Map coefficient blocks c_j to ambient blocks U_j c_j."""

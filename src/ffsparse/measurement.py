@@ -10,6 +10,13 @@ A / sqrt(m) used by all conditioning statements; there is a single stored
 matrix either way.  The dense block operators are built on first use,
 already in the ensemble's scale, and every later call returns that same
 read-only array.
+
+The coefficient operator is M = scale (A kron I_d) blockdiag(U_j), so its
+Gram M^T M has k x k block (i, j) equal to scale^2 (A^T A)_ij U_i^T U_j: an
+N x N product times the frame's cross-Gram, never a product with the
+(m*d)-row dense matrix.  ``gram`` holds it, built once like the dense
+operators, and ``coefficient_adjoint`` gives the matching right-hand side
+M^T h, block j = U_j^T (scale A^T H)_j.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ _KINDS = ("bernoulli", "gaussian")
 class MeasurementEnsemble:
     """Scalar measurement matrix plus the block operators it induces."""
 
-    __slots__ = ("_matrix", "_kind", "_frame", "_normalized", "_seed", "_coeff_cache", "_plain_cache")
+    __slots__ = ("_matrix", "_kind", "_frame", "_normalized", "_seed", "_coeff_cache",
+                 "_plain_cache", "_gram_cache")
 
     def __init__(self, matrix, kind: str, frame: Optional[FusionFrame] = None,
                  normalized: bool = False, seed: Optional[int] = None):
@@ -54,6 +62,7 @@ class MeasurementEnsemble:
         self._seed = seed
         self._coeff_cache: Optional[np.ndarray] = None
         self._plain_cache: Optional[np.ndarray] = None
+        self._gram_cache: Optional[np.ndarray] = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -113,16 +122,25 @@ class MeasurementEnsemble:
             raise ValueError(f"signal has {x.n_blocks} blocks, ensemble expects {self.n}")
         return BlockVector(self.scale * (self._matrix @ x.blocks), "ambient")
 
-    def adjoint(self, h: BlockVector) -> BlockVector:
-        """Adjoint of ``measure``: output block j = scale * P_j sum_i a_ij h_i."""
-        frame = self.frame
-        if h.n_blocks != self.m or h.block_len != frame.dim_ambient:
+    def _mix_adjoint(self, h: BlockVector) -> np.ndarray:
+        """Rows scale * sum_i a_ij h_i, j = 1..N, of the adjoints below."""
+        d = self.frame.dim_ambient
+        if h.n_blocks != self.m or h.block_len != d:
             raise ValueError(
                 f"input shape ({h.n_blocks}, {h.block_len}) does not match "
-                f"ensemble (m={self.m}, d={frame.dim_ambient})"
+                f"ensemble (m={self.m}, d={d})"
             )
-        mixed = self.scale * (self._matrix.T @ h.blocks)
-        return BlockVector(frame.project_blocks(mixed), "ambient")
+        return self.scale * (self._matrix.T @ h.blocks)
+
+    def adjoint(self, h: BlockVector) -> BlockVector:
+        """Adjoint of ``measure``: output block j = scale * P_j sum_i a_ij h_i."""
+        return BlockVector(self.frame.project_blocks(self._mix_adjoint(h)), "ambient")
+
+    def coefficient_adjoint(self, h: BlockVector) -> np.ndarray:
+        """M^T h for M = ``coefficient_matrix``, flat: block j is
+        U_j^T (scale * sum_i a_ij h_i)."""
+        mixed = BlockVector(self._mix_adjoint(h), "ambient")
+        return self.frame.coefficients(mixed).blocks.ravel()
 
     def coefficient_matrix(self) -> np.ndarray:
         """Dense (m*d, N*k) matrix of the projected operator in subspace
@@ -142,6 +160,20 @@ class MeasurementEnsemble:
             mat.setflags(write=False)
             self._coeff_cache = mat
         return self._coeff_cache
+
+    def gram(self) -> np.ndarray:
+        """The (N*k, N*k) Gram M^T M of ``coefficient_matrix``, assembled from
+        A^T A and the frame's cross-Gram.  Built once and shared read-only,
+        like ``coefficient_matrix``."""
+        if self._gram_cache is None:
+            frame = self.frame
+            n, k = self.n, frame.dim_subspace
+            outer = self.scale**2 * (self._matrix.T @ self._matrix)
+            cross = frame.cross_gram().reshape(n, k, n, k)
+            gram = (outer[:, None, :, None] * cross).reshape(n * k, n * k)
+            gram.setflags(write=False)
+            self._gram_cache = gram
+        return self._gram_cache
 
     def blockwise_matrix(self) -> np.ndarray:
         """Dense (m*d, N*d) matrix of the plain block operator, blocks

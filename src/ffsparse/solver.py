@@ -16,9 +16,21 @@ c = c0 + B w:
 - equality program (M c = b): one SVD of M gives c0 = pinv(M) b (with
   np.linalg.pinv's rank cutoff) and an orthonormal basis B of the null space
   of M, so every iterate satisfies M c = b as exactly as c0 does.  With an
-  empty null space c0 is the only feasible point and no iteration runs;
+  empty null space c0 is the only feasible point and no iteration runs.
+  Two routes skip the SVD of M.  A tall coefficient matrix (m d >= N k)
+  takes c0 from a Cholesky factor of its Gram M^T M (``ensemble.gram()``,
+  assembled from A^T A and the frame's cross-Gram) and M^T b, with one step
+  of iterative refinement on the residual b - M c0 and B empty; the factor
+  is used only when it exists and LAPACK's reciprocal condition estimate of
+  the Gram is at least 1e-8, since the Gram squares the condition number of
+  M (Bjorck 1996, "Numerical Methods for Least Squares Problems").  Otherwise,
+  rank-deficient operators included, the SVD runs as above.  The block
+  baseline's matrix is scale (A kron I_d), so one SVD of the m x N matrix
+  scale A gives c0 = vec(pinv(scale A) Y) and B = null(A) kron I_d, with the
+  same singular values and therefore the same rank cutoff;
 - ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
-  of the residual ball.  Radius 0 is the equality program.
+  of the residual ball, whose Newton matrices read M^T M from
+  ``ensemble.gram()``.  Radius 0 is the equality program.
 
 When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
 
@@ -112,12 +124,53 @@ def _affine_parametrization(matrix: np.ndarray, b: np.ndarray):
     """(c0, B) with {c0 + B w} = {c : M c = b} (the least-squares set when b
     is inconsistent): c0 = pinv(M) b and B (n x q) an orthonormal basis of
     the null space of M, from one SVD with np.linalg.pinv's rank cutoff
-    (singular values above 1e-15 * sigma_max)."""
+    (singular values above 1e-15 * sigma_max).  ``b`` is one right-hand
+    side or a matrix with one per column."""
     rows, cols = matrix.shape
     u, sing, vt = np.linalg.svd(matrix, full_matrices=rows < cols)
     rank = int(np.count_nonzero(sing > 1e-15 * sing.max()))
-    c0 = vt[:rank].T @ ((u[:, :rank].T @ b) / sing[:rank])
+    c0 = vt[:rank].T @ ((u[:, :rank].T @ b).T / sing[:rank]).T
     return c0, np.ascontiguousarray(vt[rank:].T)
+
+
+# the smallest reciprocal condition estimate of a Gram whose Cholesky factor
+# gives c0: the Gram squares the condition number of M, so this admits M up
+# to a condition number of about 1e4, where one refinement step brings c0 to
+# the accuracy of the SVD route
+_GRAM_RCOND = 1e-8
+
+
+def _gram_solution(gram: np.ndarray, rhs: np.ndarray, matrix: np.ndarray,
+                   b: np.ndarray) -> Optional[np.ndarray]:
+    """pinv(M) b for a tall M of full column rank, from a Cholesky factor of
+    its Gram M^T M and rhs = M^T b, with one step of iterative refinement on
+    the residual b - M c.  None when the factorization fails or LAPACK's
+    condition estimate of the Gram is below _GRAM_RCOND."""
+    potrf, potrs, pocon = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "pocon"), (gram,))
+    chol, info = potrf(gram, lower=0, clean=0)
+    if info != 0:
+        return None
+    rcond, info = pocon(chol, float(np.abs(gram).sum(axis=0).max()))
+    if info != 0 or not rcond >= _GRAM_RCOND:
+        return None
+    c = potrs(chol, rhs, lower=0)[0]
+    return c + potrs(chol, matrix.T @ (b - matrix @ c), lower=0)[0]
+
+
+def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
+                              matrix: np.ndarray, b: np.ndarray, blockwise: bool):
+    """(c0, B) of the equality program's feasible set, without the SVD of
+    the dense matrix where its structure allows: from the SVD of scale A for
+    the block baseline, from the guarded Gram route for a tall coefficient
+    matrix, and from the SVD of M otherwise."""
+    if blockwise:
+        c0, null = _affine_parametrization(ensemble.scale * ensemble.matrix, y.blocks)
+        return c0.ravel(), np.kron(null, np.eye(y.block_len))
+    if matrix.shape[0] >= matrix.shape[1]:
+        c0 = _gram_solution(ensemble.gram(), ensemble.coefficient_adjoint(y), matrix, b)
+        if c0 is not None:
+            return c0, np.empty((c0.size, 0))
+    return _affine_parametrization(matrix, b)
 
 
 class _Cones:
@@ -182,10 +235,12 @@ _STEP_SHARE = 0.99
 
 def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
                 cfg: SolverConfig, matrix: Optional[np.ndarray] = None,
-                b: Optional[np.ndarray] = None, radius: float = 0.0):
-    """min sum_j ||c_j||_2 over c = c0 + basis @ w, or, given a matrix (the
-    ball program, basis None for B = I), subject to ||matrix @ c - b||_2 <=
-    radius.  Returns (c, iterations, converged).
+                b: Optional[np.ndarray] = None, radius: float = 0.0,
+                gram: Optional[np.ndarray] = None):
+    """min sum_j ||c_j||_2 over c = c0 + basis @ w, or, given a matrix and
+    its Gram matrix^T matrix (the ball program, basis None for B = I),
+    subject to ||matrix @ c - b||_2 <= radius.  Returns (c, iterations,
+    converged).
 
     Variables x = (w, t); the cone constraints are s = h - G x in the cone
     product, s_j = (t_j, c_j) per group and s_ball = (radius, M c - b).
@@ -205,7 +260,6 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
     n_cones = cones.starts.size
     if ball:
         mt = matrix.T
-        gram = mt @ matrix
         idx = np.arange(n).reshape(n_groups, k)
         diagonal_blocks = (idx[:, :, None], idx[:, None, :])
     potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (c0,))
@@ -469,9 +523,9 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
         c, iters, converged = np.zeros(matrix.shape[1]), 0, True
     elif radius > 0.0:
         c, iters, converged = _group_socp(np.zeros(matrix.shape[1]), None, block_len, cfg,
-                                          matrix, b, radius)
+                                          matrix, b, radius, ensemble.gram())
     else:
-        c0, basis = _affine_parametrization(matrix, b)
+        c0, basis = _equality_parametrization(ensemble, y, matrix, b, blockwise)
         c, iters, converged = _group_socp(c0, basis, block_len, cfg)
     residual = max(0.0, float(np.linalg.norm(matrix @ c - b)) - radius)
     blocks = c.reshape(ensemble.n, block_len)

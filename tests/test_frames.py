@@ -157,6 +157,18 @@ def test_pickled_frame_keeps_incoherence():
     assert np.array_equal(incoherence(copy).entries, incoh.entries)
 
 
+def test_cross_gram_blocks_and_pickle():
+    fr = random_frame(10, 4, 2, seed=5)
+    cross = fr.cross_gram()
+    assert cross.shape == (20, 20)
+    assert not cross.flags.writeable
+    assert fr.cross_gram() is cross
+    assert np.abs(cross[2:4, 6:8] - fr.basis(1).T @ fr.basis(3)).max() <= 1e-15
+    copy = pickle.loads(pickle.dumps(fr))
+    assert copy._cross_gram_cache is not None
+    assert np.array_equal(copy.cross_gram(), cross)
+
+
 def test_incoherence_matrix_validation():
     with pytest.raises(ValueError):
         IncoherenceMatrix(np.array([[0.0, 0.5], [0.4, 0.0]]))  # asymmetric

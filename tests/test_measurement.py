@@ -185,6 +185,23 @@ def test_three_way_agreement():
         assert np.abs(adj_op - adj_mat).max() <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_gram_matches_dense_product(kind, normalized):
+    fr = random_frame(9, 5, 2, seed=61)
+    e = draw_matrix(kind, 7, 9, seed=62, frame=fr, normalized=normalized)
+    matrix = e.coefficient_matrix()
+    dense = matrix.T @ matrix
+    gram = e.gram()
+    assert gram.shape == dense.shape
+    assert np.abs(gram - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert not gram.flags.writeable
+    assert e.gram() is gram
+    h = BlockVector(np.random.default_rng(63).standard_normal((7, 5)))
+    rhs = matrix.T @ h.to_flat()
+    assert np.abs(e.coefficient_adjoint(h) - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+
 def test_restricted_gram_matches_block_assembly():
     # coefficient-space Gram restricted to support columns equals the
     # basis-conjugated explicit block Gram of the rescaled operator

@@ -309,6 +309,88 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
     assert np.abs(c0 + basis @ (basis.T @ v) - expected).max() <= 1e-12
 
 
+def test_tall_equality_takes_the_gram_route():
+    from ffsparse.solver import _equality_parametrization
+
+    fr = random_frame(20, 5, 2, seed=64)
+    e = draw_matrix("bernoulli", 30, 20, seed=65, frame=fr, normalized=True)
+    rng = np.random.default_rng(66)
+    y = e.measure(sparse_signal(fr, random_support(20, 3, rng), rng))
+    matrix, b = e.coefficient_matrix(), y.to_flat()
+    assert matrix.shape == (150, 40)
+    c0, basis = _equality_parametrization(e, y, matrix, b, False)
+    assert basis.shape == (40, 0)
+    expected = np.linalg.pinv(matrix) @ b
+    assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_rank_deficient_tall_equality_falls_back_to_the_svd():
+    # subspaces 0 and 1 coincide and so do columns 0 and 1 of A: their
+    # column blocks of M are equal, the Gram is singular, and the null space
+    # of M has dimension k = 2
+    from ffsparse import FusionFrame
+    from ffsparse.solver import _equality_parametrization
+
+    base = random_frame(6, 5, 2, seed=67).bases.copy()
+    base[1] = base[0]
+    fr = FusionFrame(base)
+    a = draw_matrix("gaussian", 8, 6, seed=68).matrix.copy()
+    a[:, 1] = a[:, 0]
+    e = MeasurementEnsemble(a, "gaussian", fr, normalized=True)
+    matrix = e.coefficient_matrix()
+    assert matrix.shape[0] >= matrix.shape[1]
+    y = BlockVector(np.random.default_rng(69).standard_normal((8, 5)))
+    b = y.to_flat()
+    c0, basis = _equality_parametrization(e, y, matrix, b, False)
+    expected = np.linalg.pinv(matrix) @ b
+    assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert basis.shape == (12, 2)
+    assert np.abs(matrix @ basis).max() <= 1e-12
+    report = solve_l1_equality(e, e.measure(fr.expand(BlockVector(
+        np.random.default_rng(70).standard_normal((6, 2)), "coefficient"))))
+    assert report.converged
+
+
+def test_ill_conditioned_tall_equality_falls_back_to_the_svd():
+    # column 1 of A is column 0 plus 1e-5 noise, on equal subspaces: M is of
+    # full rank (condition ~3e5), the Gram factors, and the condition
+    # estimate sends the solve to the SVD, whose result comes back unchanged
+    import scipy.linalg
+
+    from ffsparse import FusionFrame
+    from ffsparse.solver import _affine_parametrization, _equality_parametrization
+
+    base = random_frame(6, 5, 2, seed=67).bases.copy()
+    base[1] = base[0]
+    fr = FusionFrame(base)
+    a = draw_matrix("gaussian", 8, 6, seed=68).matrix.copy()
+    a[:, 1] = a[:, 0] + 1e-5 * np.random.default_rng(1).standard_normal(8)
+    e = MeasurementEnsemble(a, "gaussian", fr, normalized=True)
+    assert scipy.linalg.get_lapack_funcs("potrf", (e.gram(),))(e.gram())[1] == 0
+    y = BlockVector(np.random.default_rng(69).standard_normal((8, 5)))
+    matrix, b = e.coefficient_matrix(), y.to_flat()
+    c0, basis = _equality_parametrization(e, y, matrix, b, False)
+    assert np.array_equal(c0, _affine_parametrization(matrix, b)[0])
+    assert basis.shape == (12, 0)
+
+
+@pytest.mark.parametrize("m", [4, 9])
+def test_baseline_parametrization_matches_dense_svd(m):
+    # B = null(A) kron I_d spans the null space of the blockwise matrix
+    from ffsparse.solver import _affine_parametrization, _equality_parametrization
+
+    fr = random_frame(7, 3, 1, seed=71)
+    e = draw_matrix("bernoulli", m, 7, seed=72, frame=fr, normalized=True)
+    y = BlockVector(np.random.default_rng(73).standard_normal((m, 3)))
+    matrix, b = e.blockwise_matrix(), y.to_flat()
+    c0, basis = _equality_parametrization(e, y, matrix, b, True)
+    c_ref, basis_ref = _affine_parametrization(matrix, b)
+    assert np.abs(c0 - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+    assert basis.shape == basis_ref.shape
+    assert np.abs(basis @ basis.T - basis_ref @ basis_ref.T).max(initial=0.0) <= 1e-12
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
+
+
 def _noisy_instance(n_sub, m):
     """Frame, ensemble and clean and noisy (sigma = 0.03) measurements of a
     2-sparse signal; (10, 3) gives a 15 x 20 coefficient matrix (wide),
