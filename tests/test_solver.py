@@ -324,51 +324,47 @@ def test_tall_equality_takes_the_gram_route():
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_rank_deficient_tall_equality_falls_back_to_the_svd():
-    # subspaces 0 and 1 coincide and so do columns 0 and 1 of A: their
-    # column blocks of M are equal, the Gram is singular, and the null space
-    # of M has dimension k = 2
+def _twin_block_ensemble(gap):
+    """A tall ensemble (40 x 12 coefficient matrix) whose column blocks 0
+    and 1 differ by about ``gap``: subspaces 0 and 1 coincide, and column 1
+    of A is column 0 plus ``gap`` times a Gaussian vector."""
     from ffsparse import FusionFrame
-    from ffsparse.solver import _equality_parametrization
 
     base = random_frame(6, 5, 2, seed=67).bases.copy()
     base[1] = base[0]
-    fr = FusionFrame(base)
     a = draw_matrix("gaussian", 8, 6, seed=68).matrix.copy()
-    a[:, 1] = a[:, 0]
-    e = MeasurementEnsemble(a, "gaussian", fr, normalized=True)
-    matrix = e.coefficient_matrix()
-    assert matrix.shape[0] >= matrix.shape[1]
+    a[:, 1] = a[:, 0] + gap * np.random.default_rng(1).standard_normal(8)
+    e = MeasurementEnsemble(a, "gaussian", FusionFrame(base), normalized=True)
     y = BlockVector(np.random.default_rng(69).standard_normal((8, 5)))
-    b = y.to_flat()
+    return e, y, e.coefficient_matrix(), y.to_flat()
+
+
+def test_rank_deficient_tall_equality_falls_back_to_the_svd():
+    # equal column blocks: the Gram is singular, M has a null space of
+    # dimension k = 2, and b is not in its range
+    from ffsparse.solver import _equality_parametrization
+
+    e, y, matrix, b = _twin_block_ensemble(0.0)
     c0, basis = _equality_parametrization(e, y, matrix, b, False)
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
     assert basis.shape == (12, 2)
     assert np.abs(matrix @ basis).max() <= 1e-12
-    report = solve_l1_equality(e, e.measure(fr.expand(BlockVector(
+    report = solve_l1_equality(e, e.measure(e.frame.expand(BlockVector(
         np.random.default_rng(70).standard_normal((6, 2)), "coefficient"))))
     assert report.converged
 
 
 def test_ill_conditioned_tall_equality_falls_back_to_the_svd():
-    # column 1 of A is column 0 plus 1e-5 noise, on equal subspaces: M is of
-    # full rank (condition ~3e5), the Gram factors, and the condition
-    # estimate sends the solve to the SVD, whose result comes back unchanged
+    # M has full rank (condition ~3e5) and its Gram factors, but the
+    # condition estimate sends the solve to the SVD, whose result comes back
+    # unchanged
     import scipy.linalg
 
-    from ffsparse import FusionFrame
     from ffsparse.solver import _affine_parametrization, _equality_parametrization
 
-    base = random_frame(6, 5, 2, seed=67).bases.copy()
-    base[1] = base[0]
-    fr = FusionFrame(base)
-    a = draw_matrix("gaussian", 8, 6, seed=68).matrix.copy()
-    a[:, 1] = a[:, 0] + 1e-5 * np.random.default_rng(1).standard_normal(8)
-    e = MeasurementEnsemble(a, "gaussian", fr, normalized=True)
+    e, y, matrix, b = _twin_block_ensemble(1e-5)
     assert scipy.linalg.get_lapack_funcs("potrf", (e.gram(),))(e.gram())[1] == 0
-    y = BlockVector(np.random.default_rng(69).standard_normal((8, 5)))
-    matrix, b = e.coefficient_matrix(), y.to_flat()
     c0, basis = _equality_parametrization(e, y, matrix, b, False)
     assert np.array_equal(c0, _affine_parametrization(matrix, b)[0])
     assert basis.shape == (12, 0)
