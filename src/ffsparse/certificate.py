@@ -116,25 +116,37 @@ def gram_conditions(ensemble: MeasurementEnsemble, support: BlockSupport) -> Gra
     exactly with dense linear algebra.  Both the restricted Gram G[S, S] and
     the cross rows G[S, :] are read from the ensemble's Gram G = M^T M.  The
     cross column norms are the largest singular values of the off-support
-    sk x k blocks of G[S, :], taken in one batched SVD.  This is the one
-    place both quantities are computed; ``empirical_tail`` reads them from
-    here.
+    sk x k blocks of G[S, :], taken in one batched SVD.  The two helpers
+    below are the one place each quantity is computed; ``empirical_tail``
+    calls the one it needs.
     """
     _require_normalized(ensemble)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    frame = ensemble.frame
-    n, k = frame.n_subspaces, frame.dim_subspace
-    cols = _support_columns(support, k)
-    rows = ensemble.gram()[cols]
-    ev = np.linalg.eigvalsh(rows[:, cols])
+    cols = _support_columns(support, ensemble.frame.dim_subspace)
+    deviation, inv_norm = _restricted_spectrum(ensemble, cols)
+    return GramConditionReport(inv_norm=inv_norm, cross_max=_cross_max(ensemble, support, cols),
+                               deviation=deviation)
+
+
+def _restricted_spectrum(ensemble: MeasurementEnsemble, cols: np.ndarray) -> tuple[float, float]:
+    """(deviation, inv_norm): the largest distance of an eigenvalue of the
+    restricted Gram G[S, S] from 1, and the norm of its inverse (inf when
+    its smallest eigenvalue is at most 1e-14)."""
+    ev = np.linalg.eigvalsh(ensemble.gram()[np.ix_(cols, cols)])
     deviation = float(max(abs(ev[0] - 1.0), abs(ev[-1] - 1.0)))
     inv_norm = float("inf") if ev[0] <= 1e-14 else 1.0 / float(ev[0])
+    return deviation, inv_norm
 
-    cross = rows.reshape(-1, n, k)[:, support.complement(n)]
+
+def _cross_max(ensemble: MeasurementEnsemble, support: BlockSupport, cols: np.ndarray) -> float:
+    """The largest spectral norm of an off-support sk x k block of G[S, :],
+    from one batched SVD (0 for a full support)."""
+    frame = ensemble.frame
+    n, k = frame.n_subspaces, frame.dim_subspace
+    cross = ensemble.gram()[cols].reshape(-1, n, k)[:, support.complement(n)]
     top = np.linalg.svd(cross.transpose(1, 0, 2), compute_uv=False)[:, 0]
-    return GramConditionReport(inv_norm=inv_norm, cross_max=float(top.max(initial=0.0)),
-                               deviation=deviation)
+    return float(top.max(initial=0.0))
 
 
 def default_partition(m: int, s: int, n: int) -> list[int]:
@@ -351,7 +363,8 @@ def empirical_tail(quantity: str, frame: FusionFrame, support: BlockSupport, m: 
 
     For ``gram_deviation`` and ``cross_gram`` the parameter ``t`` is the
     threshold itself, and each trial's value is the ``deviation`` or
-    ``cross_max`` that ``gram_conditions`` reports; the other quantities use
+    ``cross_max`` that ``gram_conditions`` reports, from the one helper that
+    computes it (the other one is skipped); the other quantities use
     the threshold built from the support-restricted incoherence norms plus
     ``t`` and apply the restricted operator to a fixed direction, drawn once
     from the seed.  Each trial redraws the matrix.
@@ -374,13 +387,13 @@ def empirical_tail(quantity: str, frame: FusionFrame, support: BlockSupport, m: 
         bound = bounds.gram_deviation_tail(m, t, norms.row_rms_sub, norms.spectral_sub, s, k)
 
         def value(ensemble):
-            return gram_conditions(ensemble, support).deviation
+            return _restricted_spectrum(ensemble, cols)[0]
     elif quantity == "cross_gram":
         threshold = t
         bound = bounds.cross_gram_tail(m, t, norms.row_rms, n, s, k)
 
         def value(ensemble):
-            return gram_conditions(ensemble, support).cross_max
+            return _cross_max(ensemble, support, cols)
     elif quantity == "cross_image":
         v = (v * (kappa / top)).ravel()
         threshold = kappa * norms.row_rms / math.sqrt(m) + t

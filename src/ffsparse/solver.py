@@ -17,17 +17,21 @@ c = c0 + B w:
   np.linalg.pinv's rank cutoff) and an orthonormal basis B of the null space
   of M, so every iterate satisfies M c = b as exactly as c0 does.  With an
   empty null space c0 is the only feasible point and no iteration runs.
-  Two routes skip the SVD of M.  A tall coefficient matrix (m d >= N k)
+  Three routes skip the SVD of M.  A tall coefficient matrix (m d >= N k)
   takes c0 from a Cholesky factor of its Gram M^T M (``ensemble.gram()``,
   assembled from A^T A and the frame's cross-Gram) and M^T b, with one step
   of iterative refinement on the residual b - M c0 and B empty; the factor
   is used only when it exists and LAPACK's reciprocal condition estimate of
   the Gram is at least 1e-8, since the Gram squares the condition number of
-  M (Bjorck 1996, "Numerical Methods for Least Squares Problems").  Otherwise,
-  rank-deficient operators included, the SVD runs as above.  The block
-  baseline's matrix is scale (A kron I_d), so one SVD of the m x N matrix
-  scale A gives c0 = vec(pinv(scale A) Y) and B = null(A) kron I_d, with the
-  same singular values and therefore the same rank cutoff;
+  M (Bjorck 1996, "Numerical Methods for Least Squares Problems").  A wide
+  one takes a complete Householder QR M^T = [Q1 Q2] [R1; 0]: c0 = Q1 R1^-T b
+  and B = Q2, used only when LAPACK's reciprocal condition estimate of R1
+  (that of M) is at least 1e-8, since QR without pivoting does not reveal
+  the rank.  Otherwise, rank-deficient operators included, the SVD runs as
+  above.  The block baseline's matrix is scale (A kron I_d), so one SVD of
+  the m x N matrix scale A gives c0 = vec(pinv(scale A) Y) and
+  B = null(A) kron I_d, with the same singular values and therefore the
+  same rank cutoff;
 - ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
   of the residual ball, whose Newton matrices read M^T M from
   ``ensemble.gram()``.  Radius 0 is the equality program.
@@ -35,13 +39,15 @@ c = c0 + B w:
 When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
 
 Each Newton step eliminates every group's epigraph variable t_j in closed
-form, factors one symmetric positive definite q x q matrix (q = columns of
-B), B^T D B plus M^T E M for the ball, with one Cholesky, and corrects each
-solve with one step of iterative refinement.  A solve has converged when the
-primal residual relative to the norm of the cone constraints' constant part
-is at most tol_primal, and the dual residual relative to the norm of the
-objective vector and the duality gap relative to the primal objective are
-at most tol_dual.  ``iterations`` counts these interior-point steps.  A
+form and factors one symmetric positive definite q x q matrix (q = columns
+of B), B^T D B plus M^T E M for the ball, with one Cholesky; the ball's is
+written in one pass into a buffer allocated once per solve.  Of its two
+solves, the predictor only sets the step length and the second-order term
+and goes unrefined; the corrector gets one step of iterative refinement.
+A solve has converged when the primal residual relative to the norm of the
+cone constraints' constant part is at most tol_primal, and the dual
+residual relative to the norm of the objective vector and the duality gap
+relative to the primal objective are at most tol_dual.  ``iterations`` counts these interior-point steps.  A
 failed Cholesky factorization or a non-finite step ends the solve with the
 last finite iterate and converged=False.
 
@@ -133,11 +139,13 @@ def _affine_parametrization(matrix: np.ndarray, b: np.ndarray):
     return c0, np.ascontiguousarray(vt[rank:].T)
 
 
-# the smallest reciprocal condition estimate of a Gram whose Cholesky factor
-# gives c0: the Gram squares the condition number of M, so this admits M up
-# to a condition number of about 1e4, where one refinement step brings c0 to
-# the accuracy of the SVD route
-_GRAM_RCOND = 1e-8
+# the smallest reciprocal condition estimate of a factor that gives c0 in
+# place of the SVD: the Gram squares the condition number of M, so the Gram
+# route admits M up to a condition number of about 1e4, where one refinement
+# step brings c0 to the accuracy of the SVD route; the QR route, whose R1 has
+# the condition number of M, admits it up to about 1e8, well clear of the
+# SVD's rank cutoff
+_MIN_RCOND = 1e-8
 
 
 def _gram_solution(gram: np.ndarray, rhs: np.ndarray, matrix: np.ndarray,
@@ -145,16 +153,35 @@ def _gram_solution(gram: np.ndarray, rhs: np.ndarray, matrix: np.ndarray,
     """pinv(M) b for a tall M of full column rank, from a Cholesky factor of
     its Gram M^T M and rhs = M^T b, with one step of iterative refinement on
     the residual b - M c.  None when the factorization fails or LAPACK's
-    condition estimate of the Gram is below _GRAM_RCOND."""
+    condition estimate of the Gram is below _MIN_RCOND."""
     potrf, potrs, pocon = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "pocon"), (gram,))
     chol, info = potrf(gram, lower=0, clean=0)
     if info != 0:
         return None
     rcond, info = pocon(chol, float(np.abs(gram).sum(axis=0).max()))
-    if info != 0 or not rcond >= _GRAM_RCOND:
+    if info != 0 or not rcond >= _MIN_RCOND:
         return None
     c = potrs(chol, rhs, lower=0)[0]
     return c + potrs(chol, matrix.T @ (b - matrix @ c), lower=0)[0]
+
+
+def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
+    """(c0, B) for a wide M of full row rank, from a complete Householder QR
+    M^T = [Q1 Q2] [R1; 0]: M = R1^T Q1^T, so c0 = Q1 R1^-T b = pinv(M) b and
+    B = Q2 spans the null space.  None when LAPACK's reciprocal condition
+    estimate of R1 (that of M) is below _MIN_RCOND, rank-deficient M
+    included."""
+    rows = matrix.shape[0]
+    q, r = np.linalg.qr(matrix.T, mode="complete")
+    trcon, trtrs = scipy.linalg.get_lapack_funcs(("trcon", "trtrs"), (r,))
+    r1 = r[:rows]
+    rcond, info = trcon(r1)
+    if info != 0 or not rcond >= _MIN_RCOND:
+        return None
+    y, info = trtrs(r1, b, trans=1)
+    if info != 0:
+        return None
+    return q[:, :rows] @ y, np.ascontiguousarray(q[:, rows:])
 
 
 def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
@@ -162,7 +189,8 @@ def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
     """(c0, B) of the equality program's feasible set, without the SVD of
     the dense matrix where its structure allows: from the SVD of scale A for
     the block baseline, from the guarded Gram route for a tall coefficient
-    matrix, and from the SVD of M otherwise."""
+    matrix, from the guarded QR route for a wide one, and from the SVD of M
+    otherwise."""
     if blockwise:
         c0, null = _affine_parametrization(ensemble.scale * ensemble.matrix, y.blocks)
         return c0.ravel(), np.kron(null, np.eye(y.block_len))
@@ -170,6 +198,10 @@ def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
         c0 = _gram_solution(ensemble.gram(), ensemble.coefficient_adjoint(y), matrix, b)
         if c0 is not None:
             return c0, np.empty((c0.size, 0))
+    else:
+        parametrization = _qr_parametrization(matrix, b)
+        if parametrization is not None:
+            return parametrization
     return _affine_parametrization(matrix, b)
 
 
@@ -260,8 +292,7 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
     n_cones = cones.starts.size
     if ball:
         mt = matrix.T
-        idx = np.arange(n).reshape(n_groups, k)
-        diagonal_blocks = (idx[:, :, None], idx[:, None, :])
+        hess = np.empty((n, n))  # the Newton matrix, rewritten at every step
     potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (c0,))
 
     def lift(dc, dt):
@@ -354,14 +385,9 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         q00 = norm2 / bg2
         rho = (-2.0 * w0 / norm2)[:, None] * w1
         if ball:  # B = I: M^T W_ball^-2 M = (M^T M + 2 g g^T) / beta^2 plus the D_j blocks
-            g = mt @ wb[ng + 1:]
-            hess = np.outer(g, g)
-            hess *= 2.0
-            hess += gram
-            hess /= beta[-1] ** 2
             blocks = (-2.0 / (norm2 * bg2))[:, None, None] * (w1[:, :, None] * w1[:, None, :])
             blocks += np.eye(k) / bg2[:, None, None]
-            hess[diagonal_blocks] += blocks
+            _ball_newton_matrix(hess, gram, mt @ wb[ng + 1:], beta[-1] ** 2, blocks)
         else:
             b3 = basis.reshape(n_groups, k, q)
             a = 2.0 / (np.sqrt(norm2) * (np.sqrt(norm2) + 1.0))
@@ -379,27 +405,35 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         if info != 0:
             break
 
-        def newton(r_z, r_w, r_t, xi):
-            """One Newton solve, returned as (dw, dt, W^-1 ds, W dz)."""
-            uw, ut = lift_t(unscale(unscale(r_z) + xi))
-            rhs_t = ut - r_t
-            rhs_w = uw - r_w
+        def solve_reduced(rhs_w, rhs_t, r_z=None):
+            """(dw, dt, W^-1 ds) from the right-hand sides of the reduced
+            system, with ds = -G dx - r_z (-G dx when r_z is None)."""
             rhs_c = (rho * rhs_t[:, None]).ravel()
             rhs_w = rhs_w - (rhs_c if basis is None else basis.T @ rhs_c)
             dw = potrs(chol, rhs_w, lower=0)[0]
             dc = expand(dw)
             dt = rhs_t / q00 - np.add.reduce(rho * dc.reshape(n_groups, k), axis=1)
-            ds = unscale(lift(dc, dt) - r_z)
+            lifted = lift(dc, dt)
+            return dw, dt, unscale(lifted if r_z is None else lifted - r_z)
+
+        def newton(r_z, r_w, r_t, xi):
+            """One Newton solve, returned as (dw, dt, W^-1 ds, W dz)."""
+            uw, ut = lift_t(unscale(unscale(r_z) + xi))
+            dw, dt, ds = solve_reduced(uw - r_w, ut - r_t, r_z)
             return dw, dt, ds, xi - ds
 
         def refined(r_z, r_w, r_t, xi):
-            """newton() plus one step of iterative refinement on G^T dz = -r_x."""
+            """newton() plus one step of iterative refinement on G^T dz = -r_x,
+            whose residuals r_z and xi are zero, so it enters after the lift."""
             dw, dt, ds, dz = newton(r_z, r_w, r_t, xi)
             gw, gt = lift_t(unscale(dz))
-            cw, ct, cs, cz = newton(np.zeros_like(r_z), r_w - gw, r_t - gt, np.zeros_like(xi))
-            return dw + cw, dt + ct, ds + cs, dz + cz
+            cw, ct, cs = solve_reduced(gw - r_w, gt - r_t)
+            return dw + cw, dt + ct, ds + cs, dz - cs
 
-        _, _, ds_a, dz_a = refined(r_z, r_w, r_t, -lam)
+        # the predictor only sets the step length, hence sigma, and the
+        # second-order term, so it goes unrefined; the residuals are
+        # recomputed from the iterate at every step
+        _, _, ds_a, dz_a = newton(r_z, r_w, r_t, -lam)
         step = min(1.0, cones.max_step(lam, ds_a), cones.max_step(lam, dz_a))
         sigma = (1.0 - step) ** _CENTERING_EXPONENT
         mu = gap / n_cones
@@ -420,6 +454,26 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         if polished is not None:
             c = polished
     return c, it, converged
+
+
+def _ball_newton_matrix(out: np.ndarray, gram: np.ndarray, g: np.ndarray, beta2: float,
+                        blocks: np.ndarray) -> np.ndarray:
+    """Write D + (M^T M + 2 g g^T) / beta2 into the lower triangle of the
+    C-ordered n x n buffer ``out`` (the triangle that potrf(out.T, lower=0)
+    factors), with D the block diagonal of the (n_groups, k, k) ``blocks``:
+    one pass writes gram / beta2, BLAS syr adds the rank-one term on that
+    triangle, and a strided view of the diagonal blocks adds D.  The strict
+    upper triangle holds gram / beta2 only."""
+    n = out.shape[0]
+    n_groups, k, _ = blocks.shape
+    np.multiply(gram, 1.0 / beta2, out=out)
+    syr = scipy.linalg.get_blas_funcs("syr", (out,))
+    syr(2.0 / beta2, g, lower=0, a=out.T, overwrite_a=1)
+    step = out.itemsize
+    diagonal = np.lib.stride_tricks.as_strided(
+        out, (n_groups, k, k), ((n + 1) * k * step, n * step, step), writeable=True)
+    diagonal += blocks
+    return out
 
 
 _POLISH_STEPS = 8

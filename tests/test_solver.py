@@ -287,11 +287,16 @@ def test_l1_objective_matches_oracle_on_tiny_instances():
 
 # -- feasible-set parametrization ----------------------------------------------------------
 
-@pytest.mark.parametrize("shape,duplicate", [((6, 15), 0), ((20, 8), 0), ((12, 9), 4)])
+@pytest.mark.parametrize("shape,duplicate",
+                         [((6, 15), 0), ((20, 8), 0), ((12, 9), 4), ((10, 15), 3)])
 def test_affine_step_matches_pinv_projection(shape, duplicate):
-    # wide full-rank, tall full-rank, and rank-deficient (repeated rows):
-    # {c0 + B w} is {c : M c = b}, and c0 + B B^T v its projection of v
-    from ffsparse.solver import _affine_parametrization
+    # wide full-rank, tall full-rank, and rank-deficient (repeated rows) tall
+    # and wide: {c0 + B w} is {c : M c = b}, and c0 + B B^T v its projection
+    # of v; a wide M also runs through the equality program's routes, where
+    # full rank takes the QR route and repeated rows the SVD, bit for bit
+    from ffsparse.solver import (
+        _affine_parametrization, _equality_parametrization, _qr_parametrization,
+    )
 
     rng = np.random.default_rng(sum(shape) + duplicate)
     rows, cols = shape
@@ -301,12 +306,41 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
     v = rng.standard_normal(cols)
     pinv = np.linalg.pinv(matrix)
     expected = (np.eye(cols) - pinv @ matrix) @ v + pinv @ b
-    c0, basis = _affine_parametrization(matrix, b)
-    assert basis.shape == (cols, cols - min(rows - duplicate, cols))
-    assert np.abs(c0 - pinv @ b).max() <= 1e-12
-    assert np.abs(matrix @ basis).max(initial=0.0) <= 1e-12
-    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
-    assert np.abs(c0 + basis @ (basis.T @ v) - expected).max() <= 1e-12
+    svd = _affine_parametrization(matrix, b)
+    results = [svd]
+    if rows < cols:
+        results.append(_equality_parametrization(None, None, matrix, b, False))
+        qr = _qr_parametrization(matrix, b)
+        if duplicate:
+            assert qr is None
+            assert all(np.array_equal(x, y) for x, y in zip(results[1], svd))
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(results[1], qr))
+    for c0, basis in results:
+        assert basis.shape == (cols, cols - min(rows - duplicate, cols))
+        assert np.abs(c0 - pinv @ b).max() <= 1e-12
+        assert np.abs(matrix @ basis).max(initial=0.0) <= 1e-12
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
+        assert np.abs(c0 + basis @ (basis.T @ v) - expected).max() <= 1e-12
+
+
+def test_ill_conditioned_wide_equality_falls_back_to_the_svd():
+    # two rows 1e-10 apart: M has full rank for the SVD's cutoff, but the
+    # condition estimate of R1 is below 1e-8, so the SVD's result comes back
+    import scipy.linalg
+
+    from ffsparse.solver import _affine_parametrization, _equality_parametrization
+
+    rng = np.random.default_rng(75)
+    matrix = rng.standard_normal((8, 15))
+    matrix[7] = matrix[0] + 1e-10 * rng.standard_normal(15)
+    b = rng.standard_normal(8)
+    r1 = np.linalg.qr(matrix.T)[1]
+    assert scipy.linalg.get_lapack_funcs("trcon", (r1,))(r1)[0] < 1e-8
+    c0, basis = _equality_parametrization(None, None, matrix, b, False)
+    c_ref, basis_ref = _affine_parametrization(matrix, b)
+    assert basis.shape == (15, 7)
+    assert np.array_equal(c0, c_ref) and np.array_equal(basis, basis_ref)
 
 
 def test_tall_equality_takes_the_gram_route():
@@ -416,6 +450,30 @@ def test_noisy_matches_tight_solve_wide_and_tall(n_sub, m):
     c = np.stack([fr.basis(j).T @ tight.x_hat.block(j) for j in range(n_sub)])
     c_norms = np.linalg.norm(c, axis=1)
     _assert_ball_optimal(matrix, b, 0.03 * np.sqrt(m) * e.scale, c, c_norms > 1e-6 * c_norms.max())
+
+
+def test_ball_newton_matrix_matches_dense():
+    # a random iterate at the desk_noisy shape: NT scaling points wb with
+    # wb^T J wb = 1 and positive scales; potrf reads the lower triangle
+    import scipy.linalg
+
+    from ffsparse.solver import _ball_newton_matrix
+
+    fr = random_frame(100, 12, 2, seed=76)
+    e = draw_matrix("gaussian", 16, 100, seed=77, frame=fr, normalized=True)
+    matrix = e.coefficient_matrix()
+    rng = np.random.default_rng(78)
+    w1 = rng.standard_normal((100, 2))
+    norm2 = 1.0 + 2.0 * np.einsum("ij,ij->i", w1, w1)  # ||wb_j||^2 with w0^2 = 1 + ||w1||^2
+    bg2 = rng.uniform(0.1, 10.0, 100) ** 2
+    blocks = (np.eye(2) - 2.0 * w1[:, :, None] * w1[:, None, :] / norm2[:, None, None]) \
+        / bg2[:, None, None]
+    g = matrix.T @ rng.standard_normal(matrix.shape[0])
+    beta2 = 0.37
+    dense = (matrix.T @ matrix + 2.0 * np.outer(g, g)) / beta2 \
+        + scipy.linalg.block_diag(*blocks)
+    out = _ball_newton_matrix(np.empty((200, 200)), e.gram(), g, beta2, blocks)
+    assert np.abs(np.tril(out) - np.tril(dense)).max() <= 1e-13 * np.abs(dense).max()
 
 
 def _assert_ball_optimal(matrix, b, radius, c, active):
