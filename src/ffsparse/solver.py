@@ -178,10 +178,7 @@ def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
     rcond, info = trcon(r1)
     if info != 0 or not rcond >= _MIN_RCOND:
         return None
-    y, info = trtrs(r1, b, trans=1)
-    if info != 0:
-        return None
-    return q[:, :rows] @ y, np.ascontiguousarray(q[:, rows:])
+    return q[:, :rows] @ trtrs(r1, b, trans=1)[0], np.ascontiguousarray(q[:, rows:])
 
 
 def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
