@@ -476,6 +476,37 @@ def test_ball_newton_matrix_matches_dense():
     assert np.abs(np.tril(out) - np.tril(dense)).max() <= 1e-13 * np.abs(dense).max()
 
 
+def test_ball_solve_recovers_from_failed_factorizations(monkeypatch):
+    # every step's first Cholesky reports failure, so every step factors the
+    # diagonally shifted Newton matrix, which must still be the one built
+    import itertools
+
+    import scipy.linalg
+
+    _, e, _, sample = _noisy_instance(10, 3)
+    expected = solve_l1_noisy(e, sample.y, 0.03)
+    real = scipy.linalg.get_lapack_funcs
+
+    def flaky_funcs(names, arrays=()):
+        funcs = real(names, arrays)
+        if names != ("potrf", "potrs"):
+            return funcs
+        potrf, potrs = funcs
+        calls = itertools.count()
+
+        def potrf_failing_every_other(a, **kwargs):
+            chol, info = potrf(a, **kwargs)
+            return chol, (1 if next(calls) % 2 else info)  # call 0 is the start's
+
+        return potrf_failing_every_other, potrs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", flaky_funcs)
+    report = solve_l1_noisy(e, sample.y, 0.03)
+    assert report.converged
+    assert abs(report.iterations - expected.iterations) <= 1
+    assert abs(report.objective - expected.objective) <= 1e-8 * expected.objective
+
+
 def _assert_ball_optimal(matrix, b, radius, c, active):
     """Optimality of c, independent of the solver, to 1e-8: 0 lies outside
     the ball, so the residual r sits on its boundary, and g_j = M_j^T r is
