@@ -21,6 +21,9 @@ from .experiments import (
     EXPERIMENT_NAMES,
     InfeasibleConfigError,
     SpecValidationError,
+    baseline_program,
+    equality_program,
+    noisy_program,
     run_experiment,
     seeded_instance,
     spec_from_json,
@@ -36,15 +39,8 @@ from .frames import (
     restricted_norms,
     save_frame,
 )
-from .measurement import add_noise
 from .signals import random_support
-from .solver import (
-    SolverConfig,
-    relative_error,
-    solve_block_baseline,
-    solve_l1_equality,
-    solve_l1_noisy,
-)
+from .solver import relative_error
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
@@ -150,6 +146,10 @@ def _frame_options(command):
     return with_frame
 
 
+# the harness's programs, by the name the solve command reports
+_PROGRAMS = {"subspace": equality_program, "block": baseline_program, "noisy": noisy_program}
+
+
 def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
     if not 1 <= sparsity <= fr.n_subspaces:
         _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
@@ -172,20 +172,18 @@ def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
               help="Write the full report as JSON.")
 def solve(fr, kind, measurements, sparsity, seed, eta, program, out):
     """Generate a seeded instance, solve it, and report the outcome."""
+    if eta is not None:
+        if not 0 <= eta < float("inf"):
+            _fail(EXIT_VALIDATION, "eta must be a finite nonnegative number")
+        if program == "block":
+            _fail(EXIT_VALIDATION, "--eta runs the noisy subspace program, not --program block")
+        program = "noisy"
     _check_sizes(fr, sparsity, measurements)
     _, x, ensemble = seeded_instance(fr, kind, measurements, sparsity, seed)
-    y = ensemble.measure(x)
-    cfg = SolverConfig()
-    if eta is not None:
-        sample = add_noise(y, eta, seed + 1, ensemble.scale)
-        report = solve_l1_noisy(ensemble, sample.y, eta, cfg)
-    elif program == "block":
-        report = solve_block_baseline(ensemble, y, cfg)
-    else:
-        report = solve_l1_equality(ensemble, y, cfg)
+    report, _ = _PROGRAMS[program](ensemble, ensemble.measure(x), eta or 0.0, seed)
     rel = relative_error(report.x_hat, x)
     doc = {
-        "program": "noisy" if eta is not None else program,
+        "program": program,
         "kind": kind,
         "N": fr.n_subspaces, "d": fr.dim_ambient, "k": fr.dim_subspace,
         "m": measurements, "s": sparsity, "seed": seed,

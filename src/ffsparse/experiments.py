@@ -10,8 +10,11 @@ spec and seed produce byte-identical files for a fixed BLAS thread count
 
 Each experiment is one entry of the ``_EXPERIMENTS`` table: the grids it
 needs, how its grid expands into cells, the signal it recovers, the
-programs each trial solves, the summary it adds and the CSV columns it
-writes.
+(row label, program) pairs each trial solves, the one summary function that
+adds its keys to the summary and returns its ``.dat`` and echo lines, and
+the CSV columns it writes.  The three programs (``equality_program``,
+``baseline_program``, ``noisy_program``) are the ones ``ffsparse solve``
+runs too.
 """
 
 from __future__ import annotations
@@ -31,13 +34,7 @@ from .certificate import golfing_build, gram_conditions, verify_inexact
 from .frames import FusionFrame, incoherence, lambda_eff, random_frame
 from .measurement import MeasurementEnsemble, add_noise, draw_matrix
 from .signals import compressible_signal, power_law_signal, random_support, sparse_signal
-from .solver import (
-    SolverConfig,
-    relative_error,
-    solve_block_baseline,
-    solve_l1_equality,
-    solve_l1_noisy,
-)
+from .solver import relative_error, solve_block_baseline, solve_l1_equality, solve_l1_noisy
 
 __all__ = [
     "ExperimentSpec",
@@ -52,6 +49,9 @@ __all__ = [
     "spec_from_dict",
     "spec_from_json",
     "seeded_instance",
+    "equality_program",
+    "baseline_program",
+    "noisy_program",
     "run_experiment",
 ]
 
@@ -132,9 +132,27 @@ def spec_from_json(text: str) -> ExperimentSpec:
     return spec_from_dict(doc)
 
 
+# (fields, types, what each must be), checked before any value is used; no
+# bool passes, though Python counts it as an int, and no NaN or infinity
+_FIELD_TYPES = (
+    (("N", "d", "k", "trials", "base_seed"), int, "an integer"),
+    (("theta", "success_rel_err", "success_threshold"), (int, float), "a finite number"),
+    (("s_list", "m_list", "d_list"), int, "a list of integers"),
+    (("sigma_list", "q_list"), (int, float), "a list of finite numbers"),
+)
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
-    if spec.name not in _EXPERIMENTS:
+    if spec.name not in EXPERIMENT_NAMES:
         raise SpecValidationError(f"unknown experiment {spec.name!r}")
+    for names, types, what in _FIELD_TYPES:
+        for name in names:
+            value = getattr(spec, name)
+            values = value if name.endswith("_list") else [value]
+            if not isinstance(values, list) or any(
+                    isinstance(v, bool) or not isinstance(v, types)
+                    or (isinstance(v, float) and not math.isfinite(v)) for v in values):
+                raise SpecValidationError(f"{name} must be {what}")
     if spec.kind not in ("bernoulli", "gaussian"):
         raise SpecValidationError(f"unknown matrix kind {spec.kind!r}")
     if spec.trials < 1:
@@ -164,10 +182,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if rejects(spec):
             raise SpecValidationError(message)
 
-    for grid_name in ("s_list", "m_list", "d_list"):
-        for value in getattr(spec, grid_name):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecValidationError(f"{grid_name} entries must be integers")
     for s in spec.s_list:
         if s < 0 or s > spec.N:
             raise InfeasibleConfigError(f"sparsity s={s} out of range for N={spec.N}")
@@ -357,21 +371,24 @@ def _power_law(spec, cell, frame, rng) -> BlockVector:
     return power_law_signal(frame, cell["q"], rng)
 
 
-# programs of one trial: (ensemble, y, cell, seed, cfg) -> [(report, y_used)],
-# one pair per label in the entry's ``programs``
+# programs: (ensemble, y, sigma, seed) -> (report, measurements solved), where
+# sigma is the noise level and seed the seed the ensemble was drawn with
 
 
-def _solve_equality(ensemble, y, cell, seed, cfg) -> list:
-    return [(solve_l1_equality(ensemble, y, cfg), y)]
+def equality_program(ensemble, y, sigma, seed):
+    """The (2,1)-norm program subject to y."""
+    return solve_l1_equality(ensemble, y), y
 
 
-def _solve_with_block_baseline(ensemble, y, cell, seed, cfg) -> list:
-    return [(solve_l1_equality(ensemble, y, cfg), y), (solve_block_baseline(ensemble, y, cfg), y)]
+def baseline_program(ensemble, y, sigma, seed):
+    """The block-sparsity baseline, blind to the subspaces."""
+    return solve_block_baseline(ensemble, y), y
 
 
-def _solve_noisy(ensemble, y, cell, seed, cfg) -> list:
-    sample = add_noise(y, cell["sigma"], seed + _NOISE_SEED_OFFSET, ensemble.scale)
-    return [(solve_l1_noisy(ensemble, sample.y, cell["sigma"], cfg), sample.y)]
+def noisy_program(ensemble, y, sigma, seed):
+    """The sigma-ball program on y plus noise drawn from seed + _NOISE_SEED_OFFSET."""
+    sample = add_noise(y, sigma, seed + _NOISE_SEED_OFFSET, ensemble.scale)
+    return solve_l1_noisy(ensemble, sample.y, sigma), sample.y
 
 
 def _signal_lambda_eff(frame: FusionFrame, x: BlockVector) -> float:
@@ -381,8 +398,7 @@ def _signal_lambda_eff(frame: FusionFrame, x: BlockVector) -> float:
     return lambda_eff(incoherence(frame), BlockSupport(active))
 
 
-def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
-                    cfg: SolverConfig) -> list[TrialRecord]:
+def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
     """One signal per cell, a fresh matrix per trial, every program of the
     experiment on each trial's measurements."""
     experiment = _EXPERIMENTS[spec.name]
@@ -393,14 +409,13 @@ def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
         seed = _trial_seed(spec.base_seed, cell["index"], trial)
         ensemble = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
         y = ensemble.measure(x)
-        solved = experiment.solve(ensemble, y, cell, seed, cfg)
-        for program, (report, y_used) in zip(experiment.programs, solved):
-            rows.append(_trial_record(spec, cell, trial, seed, leff, program, report, x, y_used))
+        for label, program in experiment.programs:
+            report, y_solved = program(ensemble, y, cell.get("sigma", 0.0), seed)
+            rows.append(_trial_record(spec, cell, trial, seed, leff, label, report, x, y_solved))
     return rows
 
 
-def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
-                    cfg: SolverConfig) -> list[TrialRecord]:
+def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
     """A fresh seeded signal per trial, audited by the Gram conditions and
     the golfing certificate before the equality program solves it."""
     incoh = incoherence(frame)
@@ -412,7 +427,7 @@ def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
         gram = gram_conditions(ensemble, support)
         cert = golfing_build(ensemble, x)
         passed, _ = verify_inexact(cert, gram)
-        report = solve_l1_equality(ensemble, y, cfg)
+        report = solve_l1_equality(ensemble, y)
         rows.append(_trial_record(
             spec, cell, trial, seed, lambda_eff(incoh, support), "FF", report, x, y,
             deviation=gram.deviation, inv_norm=gram.inv_norm, cross_max=gram.cross_max,
@@ -422,40 +437,33 @@ def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame,
     return rows
 
 
-# summaries: summarize(spec, summary, rows) adds the experiment's keys (and
-# notes) to the summary; report(spec, summary) returns its .dat and echo lines
+# summaries: (spec, summary, rows) -> (.dat lines, echo lines); each adds the
+# experiment's keys (and notes) to the summary
 
 
-def _no_summary(spec, summary, rows) -> None:
-    pass
-
-
-def _no_report(spec, summary) -> tuple[list, list]:
+def _no_summary(spec, summary, rows) -> tuple[list, list]:
     return [], []
 
 
-def _minimal_m_summary(spec, summary, rows) -> None:
+def _minimal_m_summary(spec, summary, rows) -> tuple[list, list]:
     minimal: dict = {}
-    for program in _EXPERIMENTS[spec.name].programs:
+    for label, _ in _EXPERIMENTS[spec.name].programs:
         for s in spec.s_list:
             hits = [e["m"] for e in summary["cells"]
-                    if e["program"] == program and e["s"] == s
+                    if e["program"] == label and e["s"] == s
                     and e["rate"] >= spec.success_threshold]
-            minimal[(program, int(s))] = min(hits, default=None)
+            minimal[(label, int(s))] = min(hits, default=None)
     summary["minimal_m"] = minimal
-
-
-def _minimal_m_report(spec, summary) -> tuple[list, list]:
-    items = sorted(summary["minimal_m"].items())
+    items = sorted(minimal.items())
     return (
-        [f"# minimal_m program={program} s={s} m={'none' if m is None else m}"
-         for (program, s), m in items],
+        [f"# minimal_m program={label} s={s} m={'none' if m is None else m}"
+         for (label, s), m in items],
         [f"minimal m for >= {spec.success_threshold:.0%} success, "
-         f"program={program}, s={s}: {'none' if m is None else m}" for (program, s), m in items],
+         f"program={label}, s={s}: {'none' if m is None else m}" for (label, s), m in items],
     )
 
 
-def _trend_summary(spec, summary, rows) -> None:
+def _trend_summary(spec, summary, rows) -> tuple[list, list]:
     points = []
     for g_idx, dd in enumerate(spec.d_list):
         entries = [e for e in summary["cells"] if e["group"] == g_idx]
@@ -470,21 +478,16 @@ def _trend_summary(spec, summary, rows) -> None:
     summary["trend_points"] = points
     usable = [(p["lambda_eff"], p["minimal_m"]) for p in points if p["minimal_m"] is not None]
     fit = _linear_fit([u[0] for u in usable], [u[1] for u in usable]) if len(usable) >= 2 else None
+    summary["fit"] = fit
     if fit is None:
         summary["notes"].append("linear fit refused: fewer than two usable trend points")
-    summary["fit"] = fit
-
-
-def _trend_report(spec, summary) -> tuple[list, list]:
-    fit = summary["fit"]
-    if not fit:
         return [], []
     return ([f"# fit {_fit_text(fit)}"],
             [f"trend fit: slope={fit['slope']:.3f} intercept={fit['intercept']:.3f} "
              f"r2={fit['r2']:.3f}"])
 
 
-def _noise_fit_summary(spec, summary, rows) -> None:
+def _noise_fit_summary(spec, summary, rows) -> tuple[list, list]:
     fits = {}
     for g_idx in range(len(spec.d_list or [spec.d])):
         entries = [e for e in summary["cells"] if e["group"] == g_idx]
@@ -493,23 +496,15 @@ def _noise_fit_summary(spec, summary, rows) -> None:
         if fit is None:
             summary["notes"].append(f"group {g_idx}: error-vs-sigma fit refused")
     summary["fits"] = fits
+    return [f"# fit group={g_idx} {_fit_text(fit)}" for g_idx, fit in fits.items() if fit], []
 
 
-def _noise_fit_report(spec, summary) -> tuple[list, list]:
-    return [f"# fit group={g_idx} {_fit_text(fit)}"
-            for g_idx, fit in summary["fits"].items() if fit], []
-
-
-def _contingency_summary(spec, summary, rows) -> None:
+def _contingency_summary(spec, summary, rows) -> tuple[list, list]:
     table = {"pass_success": 0, "pass_fail": 0, "fail_success": 0, "fail_fail": 0}
     for row in rows:
         key = ("pass" if row.cert_pass else "fail") + ("_success" if row.success else "_fail")
         table[key] += 1
     summary["contingency"] = table
-
-
-def _contingency_report(spec, summary) -> tuple[list, list]:
-    table = summary["contingency"]
     return (["# contingency " + " ".join(f"{k}={v}" for k, v in sorted(table.items()))],
             [f"contingency: {table}"])
 
@@ -520,11 +515,9 @@ class _Experiment:
     cells: Callable  # spec -> cell dicts in cell-index order
     rejects: tuple = ()  # (spec -> bool, message): grid checks past nonemptiness
     signal: Callable = _sparse  # (spec, cell, frame, rng) -> the cell's signal
-    solve: Callable = _solve_equality  # one trial's programs, see above
-    programs: tuple = ("FF",)  # row label of each program
-    run_cell: Callable = _run_sweep_cell  # (spec, cell, frame, cfg) -> rows
-    summarize: Callable = _no_summary
-    report: Callable = _no_report
+    programs: tuple = (("FF", equality_program),)  # (row label, program) per trial
+    run_cell: Callable = _run_sweep_cell  # (spec, cell, frame) -> rows
+    summarize: Callable = _no_summary  # (spec, summary, rows) -> (.dat lines, echo lines)
     columns: tuple = TRIAL_COLUMNS
     # run each group's cells in ascending m and stop at the first that
     # reaches the success threshold
@@ -533,22 +526,21 @@ class _Experiment:
 
 _EXPERIMENTS = {
     "phase_transition": _Experiment(
-        grids=("s_list", "m_list"), cells=_transition_cells,
-        summarize=_minimal_m_summary, report=_minimal_m_report),
+        grids=("s_list", "m_list"), cells=_transition_cells, summarize=_minimal_m_summary),
     "ff_vs_block": _Experiment(
         grids=("s_list", "m_list"), cells=_transition_cells,
-        solve=_solve_with_block_baseline, programs=("FF", "block"),
-        summarize=_minimal_m_summary, report=_minimal_m_report),
+        programs=(("FF", equality_program), ("block", baseline_program)),
+        summarize=_minimal_m_summary),
     "m_vs_lambda_eff": _Experiment(
         grids=("d_list", "m_list", "s_list"), cells=_group_cells,
-        summarize=_trend_summary, report=_trend_report, minimal_m_search=True),
+        summarize=_trend_summary, minimal_m_search=True),
     "stable_theta": _Experiment(
         grids=("s_list", "m_list"), cells=_group_cells, signal=_compressible),
     "noisy_sigma": _Experiment(
         grids=("s_list", "m_list", "sigma_list"), cells=_noise_cells,
         rejects=((lambda spec: any(v < 0 for v in spec.sigma_list),
                   "sigma values must be nonnegative"),),
-        solve=_solve_noisy, summarize=_noise_fit_summary, report=_noise_fit_report),
+        programs=(("FF", noisy_program),), summarize=_noise_fit_summary),
     "power_law_q": _Experiment(
         grids=("q_list", "m_list"), cells=_power_law_cells,
         rejects=((lambda spec: any(v <= 0 for v in spec.q_list), "q values must be positive"),),
@@ -556,8 +548,7 @@ _EXPERIMENTS = {
     "certificate_audit": _Experiment(
         grids=("s_list", "m_list"), cells=_audit_cells,
         rejects=((lambda spec: spec.s_list[0] < 1, "certificate_audit needs s >= 1"),),
-        run_cell=_run_audit_cell, summarize=_contingency_summary,
-        report=_contingency_report, columns=AUDIT_COLUMNS),
+        run_cell=_run_audit_cell, summarize=_contingency_summary, columns=AUDIT_COLUMNS),
 }
 
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
@@ -584,12 +575,6 @@ def _cell_signal(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> BlockV
     return _EXPERIMENTS[spec.name].signal(spec, cell, frame, rng)
 
 
-def _run_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
-    if cell["m"] < 1:
-        return []
-    return _EXPERIMENTS[spec.name].run_cell(spec, cell, frame, SolverConfig())
-
-
 # ---------------------------------------------------------------------------
 # aggregation and output
 
@@ -606,7 +591,7 @@ def _aggregate(spec: ExperimentSpec, cells: list[dict], rows: list[TrialRecord])
         if cell["m"] < 1:
             summary["notes"].append(f"cell {cell['index']} skipped: m={cell['m']} infeasible")
             continue
-        for program in experiment.programs:
+        for program, _ in experiment.programs:
             cell_rows = by_cell.get((cell["index"], program))
             if not cell_rows:
                 continue  # above its group's minimal m: skipped by the search
@@ -625,8 +610,6 @@ def _aggregate(spec: ExperimentSpec, cells: list[dict], rows: list[TrialRecord])
                 if key in cell:
                     entry[key] = cell[key]
             summary["cells"].append(entry)
-
-    experiment.summarize(spec, summary, rows)
     return summary
 
 
@@ -638,7 +621,7 @@ def _write_csv(path: Path, spec: ExperimentSpec, rows: list[TrialRecord]) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_dat(path: Path, spec: ExperimentSpec, summary: dict) -> None:
+def _write_dat(path: Path, spec: ExperimentSpec, summary: dict, summary_lines: list) -> None:
     lines = [f"# {spec.name} summary (schema v{SCHEMA_VERSION})"]
     cols = ["group", "program", "d", "s", "m", "lambda_eff", "trials", "successes",
             "rate", "wilson_lo", "wilson_hi", "mean_rel_err"]
@@ -647,14 +630,15 @@ def _write_dat(path: Path, spec: ExperimentSpec, summary: dict) -> None:
     for entry in summary["cells"]:
         values = [entry[c] for c in cols] + [entry.get(c, "") for c in extra]
         lines.append(" ".join(_fmt(v) for v in values))
-    lines += _EXPERIMENTS[spec.name].report(spec, summary)[0]
+    lines += summary_lines
     lines.append(f"# capped {summary['capped']}")
     lines += [f"# note {note}" for note in summary["notes"]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _run_cell_job(args) -> list[TrialRecord]:
-    return _run_cell(*args)
+    spec, cell, frame = args
+    return _EXPERIMENTS[spec.name].run_cell(spec, cell, frame)
 
 
 def _run_trend_group(args) -> list[TrialRecord]:
@@ -667,9 +651,7 @@ def _run_trend_group(args) -> list[TrialRecord]:
     needed = math.ceil(spec.success_threshold * spec.trials - 1e-9)
     rows: list[TrialRecord] = []
     for cell in sorted(cells, key=lambda c: c["m"]):
-        if cell["m"] < 1:
-            continue
-        cell_rows = _run_cell(spec, cell, frame)
+        cell_rows = _EXPERIMENTS[spec.name].run_cell(spec, cell, frame)
         rows.extend(cell_rows)
         if sum(r.success for r in cell_rows) >= needed:
             break
@@ -688,22 +670,22 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     validate_spec(spec)
     experiment = _EXPERIMENTS[spec.name]
     cells = _cells(spec)
+    runnable = [cell for cell in cells if cell["m"] >= 1]  # _aggregate notes the rest
     # one frame per group, shared by its cells; its incoherence is cached
     # before dispatch, so worker processes unpickle it with the frame
     frames: dict[int, FusionFrame] = {}
-    for cell in cells:
-        if cell["m"] >= 1 and cell["group"] not in frames:
+    for cell in runnable:
+        if cell["group"] not in frames:
             frames[cell["group"]] = frame = _group_frame(spec, cell)
             incoherence(frame)
     if experiment.minimal_m_search:
         groups: dict[int, list[dict]] = {}
-        for cell in cells:
+        for cell in runnable:
             groups.setdefault(cell["group"], []).append(cell)
-        jobs = [(spec, group_cells, frames[g_idx])
-                for g_idx, group_cells in sorted(groups.items()) if g_idx in frames]
+        jobs = [(spec, group_cells, frames[g_idx]) for g_idx, group_cells in sorted(groups.items())]
         worker = _run_trend_group
     else:
-        jobs = [(spec, cell, frames[cell["group"]]) for cell in cells if cell["m"] >= 1]
+        jobs = [(spec, cell, frames[cell["group"]]) for cell in runnable]
         worker = _run_cell_job
 
     if threads > 1 and len(jobs) > 1:
@@ -715,6 +697,7 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=lambda r: (r.cell_index, r.trial_index, r.program))
     summary = _aggregate(spec, cells, rows)
+    dat_lines, echo_lines = experiment.summarize(spec, summary, rows)
 
     csv_path = dat_path = None
     if out_csv is not None:
@@ -722,12 +705,12 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(csv_path, spec, rows)
         dat_path = csv_path.with_suffix(".dat")
-        _write_dat(dat_path, spec, summary)
+        _write_dat(dat_path, spec, summary, dat_lines)
 
     if echo is not None:
         for note in summary["notes"]:
             echo(f"note: {note}")
-        for line in experiment.report(spec, summary)[1]:
+        for line in echo_lines:
             echo(line)
         echo(f"capped solves: {summary['capped']}")
 

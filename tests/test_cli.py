@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from ffsparse import relative_error
 from ffsparse.cli import main
 
 
@@ -59,6 +60,29 @@ def test_solve_block_program():
     result = run("solve", "-n", "8", "-d", "3", "-k", "1", "-m", "7", "-s", "1",
                  "--program", "block")
     assert result.exit_code == 0, result.output
+
+
+def test_solve_noisy_program_is_the_harness_program():
+    # the same noise draw (seed + the harness's noise offset) as a noisy_sigma trial
+    from ffsparse import random_frame
+    from ffsparse.experiments import noisy_program, seeded_instance
+
+    result = run("solve", "-n", "10", "-d", "4", "-k", "1", "--frame-seed", "2",
+                 "-m", "6", "-s", "1", "--seed", "9", "--eta", "0.05")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    _, x, ensemble = seeded_instance(random_frame(10, 4, 1, 2), "bernoulli", 6, 1, 9)
+    report, _ = noisy_program(ensemble, ensemble.measure(x), 0.05, 9)
+    assert doc["objective"] == report.objective
+    assert doc["rel_err"] == relative_error(report.x_hat, x)
+
+
+@pytest.mark.parametrize("options", [("--eta", "-0.1"), ("--eta", "nan"),
+                                     ("--eta", "0.01", "--program", "block")],
+                         ids=["negative eta", "nan eta", "eta with block"])
+def test_solve_rejects_bad_noise_options(options):
+    result = run("solve", "-n", "8", "-d", "3", "-k", "1", "-m", "7", "-s", "1", *options)
+    assert result.exit_code == 2, result.output
 
 
 def test_solve_infeasible_sparsity():
@@ -178,6 +202,19 @@ def test_experiment_rejects_unknown_field(tmp_path):
     result = run("experiment", "phase_transition", "--spec", str(spec_path),
                  "--out", str(tmp_path / "o.csv"))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("field", [{"N": 10.5}, {"theta": "x"}, {"success_threshold": "0.9"},
+                                   {"sigma_list": ["a"]}, {"theta": float("nan")}],
+                         ids=["N", "theta", "success_threshold", "sigma_list", "theta_nan"])
+def test_experiment_rejects_mistyped_spec_fields(tmp_path, field):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"name": "noisy_sigma", "N": 10, "d": 3, "k": 1,
+                                     "s_list": [1], "m_list": [4], "sigma_list": [0.01],
+                                     "trials": 1, **field}))
+    result = run("experiment", "noisy_sigma", "--spec", str(spec_path),
+                 "--out", str(tmp_path / "o.csv"))
+    assert result.exit_code == 2, result.output
 
 
 def test_experiment_name_mismatch(tmp_path):

@@ -156,11 +156,11 @@ def test_csv_uses_lf_and_roundtrip_floats(tmp_path):
 
 
 def test_capped_solves_are_reported(tmp_path, monkeypatch):
-    import ffsparse.experiments as experiments
+    import ffsparse.solver as solver
     from ffsparse import SolverConfig
     from ffsparse.cli import main
 
-    monkeypatch.setattr(experiments, "SolverConfig",
+    monkeypatch.setattr(solver, "SolverConfig",
                         lambda **kwargs: SolverConfig(max_iter=1, **kwargs))
     # m <= 2 keeps both operators wide (at most 6 rows against 8 subspace and
     # 24 block coefficients), so no program is solved without iterating
