@@ -27,46 +27,30 @@ __all__ = [
 class BlockVector:
     """Immutable stack of equal-length vector blocks.
 
-    Blocks are stored as an ``(n_blocks, block_len)`` array.  ``form`` tags
-    whether blocks live in the ambient space (length d) or are coefficients
-    in a subspace basis (length k); it never changes after construction.
+    Blocks are stored as an ``(n_blocks, block_len)`` array.  The same class
+    holds ambient blocks (length d) and subspace coefficients (length k);
+    which one a vector is follows from where it came from, and every
+    consumer checks the block length it needs.
     """
 
-    __slots__ = ("_blocks", "_form")
+    __slots__ = ("_blocks",)
 
-    def __init__(self, blocks, form: str = "ambient"):
-        arr = np.asarray(blocks, dtype=float)
+    def __init__(self, blocks):
+        arr = np.array(blocks, dtype=float, copy=True)
         if arr.ndim != 2:
             raise ValueError(f"blocks must be 2-d (n_blocks, block_len), got shape {arr.shape}")
         if arr.shape[0] > 0 and arr.shape[1] < 1:
             raise ValueError("block length must be >= 1")
-        if form not in ("ambient", "coefficient"):
-            raise ValueError(f"unknown form {form!r}")
-        arr = np.array(arr, dtype=float, copy=True)
         arr.setflags(write=False)
         self._blocks = arr
-        self._form = form
 
     @classmethod
-    def zeros(cls, n_blocks: int, block_len: int, form: str = "ambient") -> "BlockVector":
-        return cls(np.zeros((n_blocks, block_len)), form)
-
-    @classmethod
-    def from_flat(cls, vec, n_blocks: int, form: str = "ambient") -> "BlockVector":
-        vec = np.asarray(vec, dtype=float).ravel()
-        if n_blocks == 0:
-            return cls(vec.reshape(0, 1), form) if vec.size == 0 else _raise_shape(vec, n_blocks)
-        if vec.size % n_blocks != 0:
-            _raise_shape(vec, n_blocks)
-        return cls(vec.reshape(n_blocks, -1), form)
+    def zeros(cls, n_blocks: int, block_len: int) -> "BlockVector":
+        return cls(np.zeros((n_blocks, block_len)))
 
     @property
     def blocks(self) -> np.ndarray:
         return self._blocks
-
-    @property
-    def form(self) -> str:
-        return self._form
 
     @property
     def n_blocks(self) -> int:
@@ -87,22 +71,18 @@ class BlockVector:
         return self._blocks.ravel().copy()
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector(self._blocks + other._blocks, self._form)
+        return BlockVector(self._blocks + other._blocks)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector(self._blocks - other._blocks, self._form)
+        return BlockVector(self._blocks - other._blocks)
 
     def __mul__(self, scalar: float) -> "BlockVector":
-        return BlockVector(self._blocks * float(scalar), self._form)
+        return BlockVector(self._blocks * float(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"BlockVector(n_blocks={self.n_blocks}, block_len={self.block_len}, form={self._form!r})"
-
-
-def _raise_shape(vec, n_blocks):
-    raise ValueError(f"flat vector of size {vec.size} does not split into {n_blocks} blocks")
+        return f"BlockVector(n_blocks={self.n_blocks}, block_len={self.block_len})"
 
 
 class BlockSupport:
@@ -180,7 +160,7 @@ def block_sgn(x: BlockVector) -> BlockVector:
     """
     norms = x.block_norms()
     scale = np.where(norms == 0.0, 0.0, 1.0 / np.where(norms == 0.0, 1.0, norms))
-    return BlockVector(x.blocks * scale[:, None], x.form)
+    return BlockVector(x.blocks * scale[:, None])
 
 
 def best_s_term_error(x: BlockVector, s: int) -> float:
@@ -202,4 +182,4 @@ def best_s_term_error(x: BlockVector, s: int) -> float:
 def restrict(x: BlockVector, support: BlockSupport) -> BlockVector:
     """The |S|-block vector of the selected blocks, in index order."""
     support.validate_for(x)
-    return BlockVector(x.blocks[support.indices], x.form)
+    return BlockVector(x.blocks[support.indices])

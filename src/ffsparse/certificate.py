@@ -98,11 +98,6 @@ class RobustCheck:
     reasons: tuple[str, ...]
 
 
-def _require_normalized(ensemble: MeasurementEnsemble) -> None:
-    if not ensemble.normalized:
-        raise ValueError("certificate computations require a normalized ensemble")
-
-
 def _support_columns(support: BlockSupport, k: int) -> np.ndarray:
     return np.concatenate([np.arange(j * k, (j + 1) * k) for j in support.indices])
 
@@ -120,7 +115,6 @@ def gram_conditions(ensemble: MeasurementEnsemble, support: BlockSupport) -> Gra
     below are the one place each quantity is computed; ``empirical_tail``
     calls the one it needs.
     """
-    _require_normalized(ensemble)
     if support.size < 1:
         raise ValueError("support must be nonempty")
     cols = _support_columns(support, ensemble.frame.dim_subspace)
@@ -190,7 +184,6 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
     Verifies the step recursion and the telescoping identity to 1e-9 as it
     goes; both are exact up to roundoff by construction.
     """
-    _require_normalized(ensemble)
     frame = ensemble.frame
     norms = x.block_norms()
     if support is None:
@@ -214,7 +207,7 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
     d = frame.dim_ambient
     cols = _support_columns(support, k)
     # golfing rescales the raw (unscaled) rows of group n by 1/m_n; on the
-    # normalized matrix, whose rows are raw / sqrt(m), that is the factor m/m_n
+    # ensemble's matrix, whose rows are raw / sqrt(m), that is the factor m/m_n
     matrix = ensemble.coefficient_matrix()
 
     sgn_coeff = frame.coefficients(x).blocks[support.indices]
@@ -258,8 +251,8 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
     if float(np.linalg.norm(u_tel - u_coeff)) > _IDENTITY_TOL:
         raise RuntimeError("golfing telescoping identity violated beyond 1e-9")
 
-    u = frame.expand(BlockVector(u_coeff.reshape(-1, k), "coefficient"))
-    h = BlockVector(h_rows, "ambient")
+    u = frame.expand(BlockVector(u_coeff.reshape(-1, k)))
+    h = BlockVector(h_rows)
     off_idx = support.complement(frame.n_subspaces)
     off_max = float(u.block_norms()[off_idx].max()) if off_idx.size else 0.0
     return DualCertificate(
@@ -418,7 +411,7 @@ def empirical_tail(quantity: str, frame: FusionFrame, support: BlockSupport, m: 
             return float(np.linalg.norm(err) if l2 else np.linalg.norm(err, axis=1).max())
 
     exceed = sum(
-        value(draw_matrix(kind, m, n, seed * 1_000_000 + trial, frame, normalized=True)) >= threshold
+        value(draw_matrix(kind, m, n, seed * 1_000_000 + trial, frame)) >= threshold
         for trial in range(trials))
     return TailAudit(quantity=quantity, frequency=exceed / trials, bound=bound,
                      threshold=threshold, trials=trials)

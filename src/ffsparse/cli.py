@@ -150,6 +150,15 @@ def _frame_options(command):
 _PROGRAMS = {"subspace": equality_program, "block": baseline_program, "noisy": noisy_program}
 
 
+def _emit_json(doc: dict, out) -> None:
+    """Print a report as indented JSON and, given a path, write it there too."""
+    text = json.dumps(doc, indent=2)
+    click.echo(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
     if not 1 <= sparsity <= fr.n_subspaces:
         _fail(EXIT_INFEASIBLE, f"sparsity must lie in [1, {fr.n_subspaces}]")
@@ -196,10 +205,7 @@ def solve(fr, kind, measurements, sparsity, seed, eta, program, out):
         "recovered_blocks": norm_l0_block(report.x_hat, 1e-6),
         "wall_time": report.wall_time,
     }
-    click.echo(json.dumps(doc, indent=2))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    _emit_json(doc, out)
 
 
 @main.command("bounds")
@@ -267,10 +273,7 @@ def certificate(fr, kind, measurements, sparsity, seed, out):
         "passed": passed,
         "reasons": list(reasons),
     }
-    click.echo(json.dumps(doc, indent=2))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    _emit_json(doc, out)
 
 
 @main.command()

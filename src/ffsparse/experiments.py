@@ -294,12 +294,12 @@ def _fit_text(fit: dict) -> str:
 def seeded_instance(frame: FusionFrame, kind: str, m: int, s: int,
                     seed: int) -> tuple[BlockSupport, BlockVector, MeasurementEnsemble]:
     """A random s-block support, a unit-norm sparse signal on it (both drawn
-    from default_rng(seed + SIGNAL_SEED_OFFSET)) and a normalized m-row
-    ensemble of the given kind drawn with seed."""
+    from default_rng(seed + SIGNAL_SEED_OFFSET)) and an m-row ensemble of
+    the given kind drawn with seed."""
     rng = np.random.default_rng(seed + SIGNAL_SEED_OFFSET)
     support = random_support(frame.n_subspaces, s, rng)
     x = sparse_signal(frame, support, rng)
-    ensemble = draw_matrix(kind, m, frame.n_subspaces, seed, frame, normalized=True)
+    ensemble = draw_matrix(kind, m, frame.n_subspaces, seed, frame)
     return support, x, ensemble
 
 
@@ -387,7 +387,7 @@ def baseline_program(ensemble, y, sigma, seed):
 
 def noisy_program(ensemble, y, sigma, seed):
     """The sigma-ball program on y plus noise drawn from seed + _NOISE_SEED_OFFSET."""
-    sample = add_noise(y, sigma, seed + _NOISE_SEED_OFFSET, ensemble.scale)
+    sample = add_noise(y, sigma, seed + _NOISE_SEED_OFFSET)
     return solve_l1_noisy(ensemble, sample.y, sigma), sample.y
 
 
@@ -407,7 +407,7 @@ def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> lis
     rows = []
     for trial in range(spec.trials):
         seed = _trial_seed(spec.base_seed, cell["index"], trial)
-        ensemble = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
+        ensemble = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame)
         y = ensemble.measure(x)
         for label, program in experiment.programs:
             report, y_solved = program(ensemble, y, cell.get("sigma", 0.0), seed)

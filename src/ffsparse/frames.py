@@ -57,14 +57,14 @@ class FusionFrame:
             raise ValueError(f"need N >= 1 and 1 <= k <= d, got N={n}, d={d}, k={k}")
         eye = np.eye(k)
         for j in range(n):
-            gram = arr[j].T @ arr[j]
-            if np.abs(gram - eye).max() > _ORTHO_TOL:
-                raise ValueError(f"basis {j} is not orthonormal (deviation {np.abs(gram - eye).max():.2e})")
+            deviation = np.abs(arr[j].T @ arr[j] - eye).max()
+            if not deviation <= _ORTHO_TOL:  # NaN fails
+                raise ValueError(f"basis {j} is not orthonormal (deviation {deviation:.2e})")
         if weights is None:
             w = np.ones(n)
         else:
             w = np.array(weights, dtype=float, copy=True)
-            if w.shape != (n,) or (w <= 0).any():
+            if w.shape != (n,) or not ((w > 0) & np.isfinite(w)).all():
                 raise ValueError("weights must be N positive reals")
         arr.setflags(write=False)
         w.setflags(write=False)
@@ -127,14 +127,14 @@ class FusionFrame:
         if c.n_blocks != self.n_subspaces or c.block_len != self.dim_subspace:
             raise ValueError("coefficient vector does not match frame shape")
         amb = np.einsum("jdk,jk->jd", self._bases, c.blocks)
-        return BlockVector(amb, "ambient")
+        return BlockVector(amb)
 
     def coefficients(self, x: BlockVector) -> BlockVector:
         """Map ambient blocks to subspace coefficients U_j^T x_j."""
         if x.n_blocks != self.n_subspaces or x.block_len != self.dim_ambient:
             raise ValueError("ambient vector does not match frame shape")
         coeff = np.einsum("jdk,jd->jk", self._bases, x.blocks)
-        return BlockVector(coeff, "coefficient")
+        return BlockVector(coeff)
 
     def __repr__(self) -> str:
         return (

@@ -5,10 +5,10 @@ Gaussian) together with a fusion frame.  Two block operators share this
 matrix: the projected one, whose (i, j) block is a_ij P_j, and the plain
 blockwise one with blocks a_ij I_d.  They agree on signals whose blocks lie
 in their subspaces, which is why the projected operator can stand in for the
-plain one throughout.  A ``normalized`` flag selects the rescaled operator
-A / sqrt(m) used by all conditioning statements; there is a single stored
-matrix either way.  The dense block operators are built on first use,
-already in the ensemble's scale, and every later call returns that same
+plain one throughout.  Every operator is the rescaled one, A / sqrt(m),
+the scale in which the recovery, conditioning and golfing statements are
+made; ``scale`` is that 1 / sqrt(m).  The dense block operators are built on
+first use, already in this scale, and every later call returns that same
 read-only array.
 
 The coefficient operator is M = scale (A kron I_d) blockdiag(U_j), so its
@@ -17,6 +17,10 @@ N x N product times the frame's cross-Gram, never a product with the
 (m*d)-row dense matrix.  ``gram`` holds it, built once like the dense
 operators, and ``coefficient_adjoint`` gives the matching right-hand side
 M^T h, block j = U_j^T (scale A^T H)_j.
+
+Noise lives on the same scale: ``add_noise`` puts it exactly on the boundary
+of the ball of radius ``noise_radius(eta, m)`` that ``solve_l1_noisy``
+constrains the residual to.
 """
 
 from __future__ import annotations
@@ -30,26 +34,27 @@ import numpy as np
 from .blocks import BlockVector
 from .frames import FusionFrame
 
-__all__ = ["MeasurementEnsemble", "NoisySample", "draw_matrix", "add_noise"]
+__all__ = ["MeasurementEnsemble", "NoisySample", "draw_matrix", "add_noise", "noise_radius"]
 
 _KINDS = ("bernoulli", "gaussian")
 
 
 class MeasurementEnsemble:
-    """Scalar measurement matrix plus the block operators it induces."""
+    """Scalar measurement matrix plus the block operators it induces, all in
+    the scale 1 / sqrt(m)."""
 
-    __slots__ = ("_matrix", "_kind", "_frame", "_normalized", "_seed", "_coeff_cache",
-                 "_plain_cache", "_gram_cache")
+    __slots__ = ("_matrix", "_kind", "_frame", "_seed", "_coeff_cache", "_plain_cache",
+                 "_gram_cache")
 
     def __init__(self, matrix, kind: str, frame: Optional[FusionFrame] = None,
-                 normalized: bool = False, seed: Optional[int] = None):
-        arr = np.asarray(matrix, dtype=float)
-        if arr.flags.writeable:  # share already-frozen arrays (renormalized copies)
-            arr = np.array(arr, copy=True)
+                 seed: Optional[int] = None):
+        arr = np.array(matrix, dtype=float, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix must be (m, N) with m, N >= 1, got {arr.shape}")
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
         if kind == "bernoulli" and not np.isin(arr, (-1.0, 1.0)).all():
             raise ValueError("bernoulli entries must be +-1")
         if frame is not None and frame.n_subspaces != arr.shape[1]:
@@ -58,7 +63,6 @@ class MeasurementEnsemble:
         self._matrix = arr
         self._kind = kind
         self._frame = frame
-        self._normalized = bool(normalized)
         self._seed = seed
         self._coeff_cache: Optional[np.ndarray] = None
         self._plain_cache: Optional[np.ndarray] = None
@@ -79,10 +83,6 @@ class MeasurementEnsemble:
         return self._frame
 
     @property
-    def normalized(self) -> bool:
-        return self._normalized
-
-    @property
     def seed(self) -> Optional[int]:
         return self._seed
 
@@ -96,14 +96,20 @@ class MeasurementEnsemble:
 
     @property
     def scale(self) -> float:
-        """1/sqrt(m) when normalized, else 1."""
-        return 1.0 / math.sqrt(self.m) if self._normalized else 1.0
+        """1 / sqrt(m), the factor every operator applies to A."""
+        return 1.0 / math.sqrt(self.m)
 
-    def with_normalization(self, normalized: bool = True) -> "MeasurementEnsemble":
-        """Same matrix and frame under the other scaling convention."""
-        if normalized == self._normalized:
-            return self
-        return MeasurementEnsemble(self._matrix, self._kind, self._frame, normalized, self._seed)
+    def check_measurements(self, y: BlockVector) -> None:
+        """Raise ValueError unless y is m finite blocks of length d: the one
+        check on measurement-domain input, for the adjoints and the solvers."""
+        d = self.frame.dim_ambient
+        if y.n_blocks != self.m or y.block_len != d:
+            raise ValueError(
+                f"measurements of shape ({y.n_blocks}, {y.block_len}) do not match "
+                f"ensemble (m={self.m}, d={d})"
+            )
+        if not np.isfinite(y.blocks).all():
+            raise ValueError("measurements must be finite")
 
     def measure(self, x: BlockVector) -> BlockVector:
         """Projected block operator: output block i = scale * sum_j a_ij P_j x_j."""
@@ -114,32 +120,27 @@ class MeasurementEnsemble:
                 f"ensemble (N={self.n}, d={frame.dim_ambient})"
             )
         projected = frame.project_blocks(x.blocks)
-        return BlockVector(self.scale * (self._matrix @ projected), "ambient")
+        return BlockVector(self.scale * (self._matrix @ projected))
 
     def measure_blockwise(self, x: BlockVector) -> BlockVector:
         """Plain block operator: output block i = scale * sum_j a_ij x_j."""
         if x.n_blocks != self.n:
             raise ValueError(f"signal has {x.n_blocks} blocks, ensemble expects {self.n}")
-        return BlockVector(self.scale * (self._matrix @ x.blocks), "ambient")
+        return BlockVector(self.scale * (self._matrix @ x.blocks))
 
     def _mix_adjoint(self, h: BlockVector) -> np.ndarray:
         """Rows scale * sum_i a_ij h_i, j = 1..N, of the adjoints below."""
-        d = self.frame.dim_ambient
-        if h.n_blocks != self.m or h.block_len != d:
-            raise ValueError(
-                f"input shape ({h.n_blocks}, {h.block_len}) does not match "
-                f"ensemble (m={self.m}, d={d})"
-            )
+        self.check_measurements(h)
         return self.scale * (self._matrix.T @ h.blocks)
 
     def adjoint(self, h: BlockVector) -> BlockVector:
         """Adjoint of ``measure``: output block j = scale * P_j sum_i a_ij h_i."""
-        return BlockVector(self.frame.project_blocks(self._mix_adjoint(h)), "ambient")
+        return BlockVector(self.frame.project_blocks(self._mix_adjoint(h)))
 
     def coefficient_adjoint(self, h: BlockVector) -> np.ndarray:
         """M^T h for M = ``coefficient_matrix``, flat: block j is
         U_j^T (scale * sum_i a_ij h_i)."""
-        mixed = BlockVector(self._mix_adjoint(h), "ambient")
+        mixed = BlockVector(self._mix_adjoint(h))
         return self.frame.coefficients(mixed).blocks.ravel()
 
     def coefficient_matrix(self) -> np.ndarray:
@@ -189,12 +190,12 @@ class MeasurementEnsemble:
     def __repr__(self) -> str:
         return (
             f"MeasurementEnsemble(kind={self._kind!r}, m={self.m}, N={self.n}, "
-            f"normalized={self._normalized}, seed={self._seed})"
+            f"seed={self._seed})"
         )
 
 
-def draw_matrix(kind: str, m: int, n: int, seed: int, frame: Optional[FusionFrame] = None,
-                normalized: bool = False) -> MeasurementEnsemble:
+def draw_matrix(kind: str, m: int, n: int, seed: int,
+                frame: Optional[FusionFrame] = None) -> MeasurementEnsemble:
     """Draw an i.i.d. measurement matrix, reproducible from the seed.
 
     ``bernoulli`` entries are +-1 with equal probability; ``gaussian``
@@ -209,7 +210,7 @@ def draw_matrix(kind: str, m: int, n: int, seed: int, frame: Optional[FusionFram
         arr = rng.integers(0, 2, size=(m, n)).astype(float) * 2.0 - 1.0
     else:
         arr = rng.standard_normal((m, n))
-    return MeasurementEnsemble(arr, kind, frame, normalized, seed)
+    return MeasurementEnsemble(arr, kind, frame, seed)
 
 
 @dataclass(frozen=True)
@@ -223,19 +224,29 @@ class NoisySample:
     seed: int
 
 
-def add_noise(y: BlockVector, eta: float, seed: int, scale: float = 1.0) -> NoisySample:
-    """Perturb measurements with a Gaussian-direction noise vector rescaled
-    to norm eta * sqrt(m) * scale exactly (the worst feasible case).
+def noise_radius(eta: float, m: int) -> float:
+    """Radius of the noise ball on m measurement blocks: eta * sqrt(m) in
+    the units of A, times the operators' scale 1 / sqrt(m).  ``add_noise``
+    draws on its boundary and ``solve_l1_noisy`` bounds the residual by it.
 
-    ``scale`` must match the scaling convention of the measurements: pass
-    the ensemble's ``scale`` so that eta means the same thing the recovery
-    program assumes.
+    eta must be nonnegative, so NaN is rejected; eta = inf gives a ball in
+    which zero is the optimal signal.
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("eta must be nonnegative")
+    return eta * math.sqrt(m) * (1.0 / math.sqrt(m))
+
+
+def add_noise(y: BlockVector, eta: float, seed: int) -> NoisySample:
+    """Perturb measurements with a Gaussian-direction noise vector rescaled
+    to norm ``noise_radius(eta, m)`` exactly (the worst feasible case).
+    """
     m = y.n_blocks
+    radius = noise_radius(eta, m)
+    if radius == math.inf:
+        raise ValueError("eta must be finite")
     if eta == 0.0:
-        zero = BlockVector.zeros(m, y.block_len, y.form)
+        zero = BlockVector.zeros(m, y.block_len)
         return NoisySample(y=y, noise=zero, eta=0.0, seed=seed)
     rng = np.random.default_rng(seed)
     while True:
@@ -243,6 +254,6 @@ def add_noise(y: BlockVector, eta: float, seed: int, scale: float = 1.0) -> Nois
         norm = np.linalg.norm(e)
         if norm > 0:  # zero draw has probability zero
             break
-    e *= eta * math.sqrt(m) * scale / norm
-    noise = BlockVector(e, y.form)
+    e *= radius / norm
+    noise = BlockVector(e)
     return NoisySample(y=y + noise, noise=noise, eta=float(eta), seed=seed)

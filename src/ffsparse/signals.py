@@ -44,17 +44,17 @@ def sparse_signal(frame: FusionFrame, support: BlockSupport,
     norm = np.linalg.norm(coeff)
     if norm > 0:
         coeff /= norm
-    return frame.expand(BlockVector(coeff, "coefficient"))
+    return frame.expand(BlockVector(coeff))
 
 
 def compressible_signal(frame: FusionFrame, support: BlockSupport, theta: float,
                         rng: np.random.Generator) -> BlockVector:
     """Compressible signal: on-support and off-support parts each normalized
     to unit (2,1)-norm, combined as x_S + theta * z_off."""
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not 0 <= theta < np.inf:  # NaN fails
+        raise ValueError("theta must be a finite nonnegative number")
     head_coeff = _gaussian_on_support(frame, support, rng)
-    head = frame.expand(BlockVector(head_coeff, "coefficient"))
+    head = frame.expand(BlockVector(head_coeff))
     head_norm = norm_l21(head)
     if head_norm > 0:
         head = head * (1.0 / head_norm)
@@ -62,7 +62,7 @@ def compressible_signal(frame: FusionFrame, support: BlockSupport, theta: float,
     if off.size == 0 or theta == 0.0:
         return head
     tail_coeff = _gaussian_on_support(frame, off, rng)
-    tail = frame.expand(BlockVector(tail_coeff, "coefficient"))
+    tail = frame.expand(BlockVector(tail_coeff))
     tail_norm = norm_l21(tail)
     if tail_norm > 0:
         tail = tail * (1.0 / tail_norm)
@@ -73,7 +73,7 @@ def power_law_signal(frame: FusionFrame, q: float, rng: np.random.Generator) -> 
     """Signal whose sorted block norms decay as c * j^(-1/q), scaled so the
     whole vector has unit Euclidean norm; block directions are uniform in
     their subspaces."""
-    if q <= 0:
+    if not q > 0:  # NaN fails
         raise ValueError("q must be positive")
     n, k = frame.n_subspaces, frame.dim_subspace
     profile = np.arange(1, n + 1, dtype=float) ** (-1.0 / q)
@@ -84,4 +84,4 @@ def power_law_signal(frame: FusionFrame, q: float, rng: np.random.Generator) -> 
         if (row_norms > 0).all():
             break
     coeff = coeff / row_norms[:, None] * profile[:, None]
-    return frame.expand(BlockVector(coeff, "coefficient"))
+    return frame.expand(BlockVector(coeff))

@@ -72,7 +72,7 @@ import scipy.linalg
 
 from .blocks import BlockVector, norm_l21
 from .frames import incoherence, lambda_max
-from .measurement import MeasurementEnsemble
+from .measurement import MeasurementEnsemble, noise_radius
 
 __all__ = [
     "SolverConfig",
@@ -544,24 +544,13 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
     return polished
 
 
-def _check_measurements(ensemble: MeasurementEnsemble, y: BlockVector) -> None:
-    d = ensemble.frame.dim_ambient
-    if y.n_blocks != ensemble.m or y.block_len != d:
-        raise ValueError(
-            f"measurements of shape ({y.n_blocks}, {y.block_len}) do not match "
-            f"ensemble (m={ensemble.m}, d={d})"
-        )
-    if y.n_blocks == 0 or y.block_len == 0:
-        raise ValueError("zero-dimension measurements")
-
-
 def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[SolverConfig],
            blockwise: bool = False, radius: Optional[float] = None) -> SolveReport:
     """Check and time one solve, run the equality program (the ball program
     when a positive ``radius`` is given) on the coefficient matrix (on the blockwise
     matrix, with blocks over all of R^d, when ``blockwise``) and report it."""
     cfg = config or SolverConfig()
-    _check_measurements(ensemble, y)
+    ensemble.check_measurements(y)
     t0 = time.perf_counter()
     frame = ensemble.frame
     if blockwise:
@@ -580,10 +569,7 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
         c, iters, converged = _group_socp(c0, basis, block_len, cfg)
     residual = max(0.0, float(np.linalg.norm(matrix @ c - b)) - radius)
     blocks = c.reshape(ensemble.n, block_len)
-    if blockwise:
-        x_hat = BlockVector(blocks, "ambient")
-    else:
-        x_hat = frame.expand(BlockVector(blocks, "coefficient"))
+    x_hat = BlockVector(blocks) if blockwise else frame.expand(BlockVector(blocks))
     return SolveReport(
         x_hat=x_hat,
         objective=norm_l21(x_hat),
@@ -604,10 +590,8 @@ def solve_l1_equality(ensemble: MeasurementEnsemble, y: BlockVector,
 def solve_l1_noisy(ensemble: MeasurementEnsemble, y: BlockVector, eta: float,
                    config: Optional[SolverConfig] = None) -> SolveReport:
     """Minimize the (2,1)-norm subject to the measurement residual staying
-    within the noise ball of radius eta * sqrt(m) (in the ensemble's scale)."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return _solve(ensemble, y, config, radius=eta * math.sqrt(ensemble.m) * ensemble.scale)
+    within the noise ball of radius ``noise_radius(eta, m)``."""
+    return _solve(ensemble, y, config, radius=noise_radius(eta, ensemble.m))
 
 
 def solve_block_baseline(ensemble: MeasurementEnsemble, y: BlockVector,
@@ -635,7 +619,7 @@ def orthogonal_closed_form(ensemble: MeasurementEnsemble, y: BlockVector) -> Blo
     if y.n_blocks != 1 or y.block_len != frame.dim_ambient:
         raise ValueError("measurement must be a single ambient block")
     projected = np.stack([frame.projector(j) @ y.block(0) for j in range(frame.n_subspaces)])
-    return BlockVector(projected / coeffs[:, None], "ambient")
+    return BlockVector(projected / coeffs[:, None])
 
 
 _ORACLE_MAX_N = 12
@@ -656,7 +640,7 @@ def solve_l0_oracle(ensemble: MeasurementEnsemble, y: BlockVector,
         raise ValueError(
             f"enumeration guard: need N <= {_ORACLE_MAX_N} and max_s <= {_ORACLE_MAX_S}"
         )
-    _check_measurements(ensemble, y)
+    ensemble.check_measurements(y)
     matrix = ensemble.coefficient_matrix()
     b = y.to_flat()
     n, k = ensemble.n, ensemble.frame.dim_subspace
@@ -672,5 +656,5 @@ def solve_l0_oracle(ensemble: MeasurementEnsemble, y: BlockVector,
             if float(np.linalg.norm(sub @ fit - b)) <= _ORACLE_RESIDUAL:
                 c = np.zeros(n * k)
                 c[cols] = fit
-                return ensemble.frame.expand(BlockVector(c.reshape(n, k), "coefficient"))
+                return ensemble.frame.expand(BlockVector(c.reshape(n, k)))
     return None

@@ -138,9 +138,8 @@ def test_criterion_03_operator_consistency():
                 continue
             count += 1
             frame = random_frame(n, d, k, seed=int(rng.integers(1e6)))
-            e = draw_matrix("bernoulli", m, n, seed=int(rng.integers(1e6)),
-                            frame=frame, normalized=True)
-            c = BlockVector(rng.standard_normal((n, k)), form="coefficient")
+            e = draw_matrix("bernoulli", m, n, seed=int(rng.integers(1e6)), frame=frame)
+            c = BlockVector(rng.standard_normal((n, k)))
             x = frame.expand(c)
             y_proj = e.measure(x).to_flat()
             y_plain = e.measure_blockwise(x).to_flat()
@@ -180,8 +179,7 @@ def test_criterion_05_exact_recovery_desk_scale():
         def success_count(m):
             hits = 0
             for t in range(100):
-                e = draw_matrix("bernoulli", m, 60, seed=5000 + t, frame=frame,
-                                normalized=True)
+                e = draw_matrix("bernoulli", m, 60, seed=5000 + t, frame=frame)
                 report = solve_l1_equality(e, e.measure(x))
                 hits += relative_error(report.x_hat, x) <= 1e-4
             return hits
@@ -277,8 +275,7 @@ def test_criterion_10_robust_error_law():
                 x = sparse_signal(frame, support, rng)
             else:
                 x = ff.compressible_signal(frame, support, 0.12, rng)
-            e = draw_matrix("gaussian", 140, 100, seed=61_000 + t, frame=frame,
-                            normalized=True)
+            e = draw_matrix("gaussian", 140, 100, seed=61_000 + t, frame=frame)
             cert = golfing_build(e, x, support=support)
             gram = gram_conditions(e, support)
             check = verify_robust(cert, gram, **params)
@@ -286,7 +283,7 @@ def test_criterion_10_robust_error_law():
                 continue
             validated += 1
             for sigma in (0.02, 0.06):
-                sample = ff.add_noise(e.measure(x), sigma, 62_000 + t, e.scale)
+                sample = ff.add_noise(e.measure(x), sigma, 62_000 + t)
                 report = solve_l1_noisy(e, sample.y, sigma)
                 err = float(np.linalg.norm(report.x_hat.blocks - x.blocks))
                 bound = (check.c1 * best_s_term_error(x, 10)

@@ -62,8 +62,6 @@ def oracle_best_s_term(x, s):
 def test_blockvector_validation():
     with pytest.raises(ValueError):
         BlockVector(np.zeros(3))  # not 2-d
-    with pytest.raises(ValueError):
-        BlockVector(np.zeros((2, 2)), form="weird")
     x = BlockVector(np.ones((2, 3)))
     with pytest.raises(ValueError):
         x.blocks[0, 0] = 5.0  # immutable

@@ -43,7 +43,7 @@ def test_gram_exact_for_orthogonal_bernoulli():
     frame = orthogonal_frame(5, 1)
     support = BlockSupport([0, 2, 4])
     for m in (1, 3, 8):
-        e = draw_matrix("bernoulli", m, 5, seed=m, frame=frame, normalized=True)
+        e = draw_matrix("bernoulli", m, 5, seed=m, frame=frame)
         report = gram_conditions(e, support)
         assert report.deviation <= 1e-12
         assert report.inv_norm == pytest.approx(1.0, abs=1e-12)
@@ -52,24 +52,22 @@ def test_gram_exact_for_orthogonal_bernoulli():
 
 def test_gram_single_block_support_bernoulli():
     frame = random_frame(8, 5, 2, seed=1)
-    e = draw_matrix("bernoulli", 4, 8, seed=2, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 4, 8, seed=2, frame=frame)
     report = gram_conditions(e, BlockSupport([3]))
     assert report.deviation <= 1e-12
 
 
-def test_gram_requires_normalized():
+def test_gram_requires_nonempty_support():
     frame = random_frame(5, 4, 1, seed=3)
     e = draw_matrix("bernoulli", 3, 5, seed=4, frame=frame)
     with pytest.raises(ValueError):
-        gram_conditions(e, BlockSupport([0]))
-    with pytest.raises(ValueError):
-        gram_conditions(e.with_normalization(), BlockSupport([]))
+        gram_conditions(e, BlockSupport([]))
 
 
 def test_gram_singular_reports_infinite_inverse():
     # s*k = 4 coefficient directions cannot be resolved by m*d = 2 rows
     frame = random_frame(6, 2, 2, seed=5)
-    e = draw_matrix("bernoulli", 1, 6, seed=6, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 1, 6, seed=6, frame=frame)
     report = gram_conditions(e, BlockSupport([0, 1]))
     assert math.isinf(report.inv_norm)
 
@@ -77,7 +75,7 @@ def test_gram_singular_reports_infinite_inverse():
 def test_gram_deviation_implies_inverse_bound():
     frame, support, _ = desk_instance()
     for t in range(30):
-        e = draw_matrix("bernoulli", 60, 60, seed=100 + t, frame=frame, normalized=True)
+        e = draw_matrix("bernoulli", 60, 60, seed=100 + t, frame=frame)
         report = gram_conditions(e, support)
         if report.deviation < 1.0:
             assert report.inv_norm <= 1.0 / (1.0 - report.deviation) + 1e-9
@@ -99,7 +97,7 @@ def test_golfing_single_step_orthogonal_exact():
     frame = orthogonal_frame(4, 1)
     rng = np.random.default_rng(1)
     x = sparse_signal(frame, BlockSupport([0, 2]), rng)
-    e = draw_matrix("bernoulli", 6, 4, seed=3, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 6, 4, seed=3, frame=frame)
     cert = golfing_build(e, x, partition=[6])
     assert cert.partition == (6,)
     assert cert.on_support_gap <= 1e-12
@@ -110,7 +108,7 @@ def test_golfing_single_step_orthogonal_exact():
 
 def test_golfing_preimage_identity():
     frame, support, x = desk_instance()
-    e = draw_matrix("bernoulli", 40, 60, seed=9, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 40, 60, seed=9, frame=frame)
     cert = golfing_build(e, x)
     rebuilt = e.adjoint(cert.h)
     assert np.abs(rebuilt.blocks - cert.u.blocks).max() <= 1e-9
@@ -141,15 +139,13 @@ def test_default_partition_shape():
 
 def test_golfing_partition_validation():
     frame, support, x = desk_instance()
-    e = draw_matrix("bernoulli", 10, 60, seed=13, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 10, 60, seed=13, frame=frame)
     with pytest.raises(ValueError):
         golfing_build(e, x, partition=[5, 4])  # sums to 9, not 10
     from ffsparse import BlockVector
 
     with pytest.raises(ValueError):
         golfing_build(e, BlockVector.zeros(60, 6))  # empty support
-    with pytest.raises(ValueError):
-        golfing_build(e.with_normalization(False), x)
 
 
 def test_golfing_residual_contraction_at_theory_sample_size():
@@ -165,7 +161,7 @@ def test_golfing_residual_contraction_at_theory_sample_size():
     trials = 200
     for t in range(trials):
         x = sparse_signal(frame, support, np.random.default_rng(900 + t))
-        e = draw_matrix("bernoulli", m, 60, seed=10_000 + t, frame=frame, normalized=True)
+        e = draw_matrix("bernoulli", m, 60, seed=10_000 + t, frame=frame)
         cert = golfing_build(e, x)
         r = cert.residual_norms_l2
         for n in range(steps):
@@ -181,7 +177,7 @@ def test_golfing_preimage_norm_scales_with_sqrt_s():
     ratios = []
     for t in range(20):
         x = sparse_signal(frame, support, np.random.default_rng(600 + t))
-        e = draw_matrix("bernoulli", 350, 60, seed=20_000 + t, frame=frame, normalized=True)
+        e = draw_matrix("bernoulli", 350, 60, seed=20_000 + t, frame=frame)
         cert = golfing_build(e, x)
         report = gram_conditions(e, support)
         ok, _ = verify_inexact(cert, report)
@@ -199,7 +195,7 @@ def test_verify_inexact_all_zero_passes():
     frame = orthogonal_frame(3, 1)
     rng = np.random.default_rng(2)
     x = sparse_signal(frame, BlockSupport([1]), rng)
-    e = draw_matrix("bernoulli", 2, 3, seed=3, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 2, 3, seed=3, frame=frame)
     cert = golfing_build(e, x, partition=[2])
     report = gram_conditions(e, BlockSupport([1]))
     ok, reasons = verify_inexact(cert, report)
@@ -211,7 +207,7 @@ def test_verify_inexact_reports_on_support_gap():
     frame = orthogonal_frame(3, 1)
     rng = np.random.default_rng(4)
     x = sparse_signal(frame, BlockSupport([0]), rng)
-    e = draw_matrix("bernoulli", 2, 3, seed=5, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 2, 3, seed=5, frame=frame)
     cert = golfing_build(e, x, partition=[2])
     bad = type(cert)(
         u=cert.u, h=cert.h, support=cert.support, partition=cert.partition,
@@ -228,7 +224,7 @@ def test_verify_inexact_threshold_boundaries():
     frame = orthogonal_frame(3, 1)
     rng = np.random.default_rng(6)
     x = sparse_signal(frame, BlockSupport([0]), rng)
-    e = draw_matrix("bernoulli", 2, 3, seed=7, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 2, 3, seed=7, frame=frame)
     cert = golfing_build(e, x, partition=[2])
     ok, reasons = verify_inexact(cert, report_bad_inv)
     assert not ok and "restricted gram inverse norm" in reasons
@@ -238,7 +234,7 @@ def test_verify_robust_trivial_constants():
     frame = orthogonal_frame(3, 1)
     rng = np.random.default_rng(8)
     x = sparse_signal(frame, BlockSupport([2]), rng)
-    e = draw_matrix("bernoulli", 2, 3, seed=9, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 2, 3, seed=9, frame=frame)
     cert = golfing_build(e, x, partition=[2])
     report = gram_conditions(e, BlockSupport([2]))
     # zero constants plug into the formulas as b = 0, c1 = 2, c3 = 2 tau
@@ -256,7 +252,7 @@ def test_verify_robust_arithmetic():
     frame = orthogonal_frame(3, 1)
     rng = np.random.default_rng(10)
     x = sparse_signal(frame, BlockSupport([2]), rng)
-    e = draw_matrix("bernoulli", 2, 3, seed=11, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 2, 3, seed=11, frame=frame)
     cert = golfing_build(e, x, partition=[2])
     report = gram_conditions(e, BlockSupport([2]))
     check = verify_robust(cert, report, delta=0.5, beta=1.0, gamma=0.25, theta=0.25, tau=1.0)
@@ -271,7 +267,7 @@ def test_verify_robust_arithmetic():
 
 def test_verify_robust_flags_measured_violations():
     frame, support, x = desk_instance()
-    e = draw_matrix("bernoulli", 20, 60, seed=12, frame=frame, normalized=True)
+    e = draw_matrix("bernoulli", 20, 60, seed=12, frame=frame)
     cert = golfing_build(e, x)
     report = gram_conditions(e, support)
     check = verify_robust(cert, report, delta=1e-6, beta=1e-6, gamma=1e-6,
@@ -323,8 +319,7 @@ def test_certificate_pass_implies_recovery():
             rng = np.random.default_rng(40_000 + 100 * m + t)
             s_t = random_support(60, 4, rng)
             x = sparse_signal(frame, s_t, rng)
-            e = draw_matrix("bernoulli", m, 60, seed=50_000 + 100 * m + t,
-                            frame=frame, normalized=True)
+            e = draw_matrix("bernoulli", m, 60, seed=50_000 + 100 * m + t, frame=frame)
             cert = golfing_build(e, x)
             report = gram_conditions(e, s_t)
             ok, _ = verify_inexact(cert, report)

@@ -38,11 +38,27 @@ def test_frame_info_invalid_file(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("field", ["bases", "weights"])
+def test_frame_info_rejects_non_finite_frame(tmp_path, field):
+    path = tmp_path / "frame.json"
+    assert run("frame", "gen", "-n", "3", "-d", "2", "-k", "1", "--out", str(path)).exit_code == 0
+    doc = json.loads(path.read_text())
+    if field == "bases":
+        doc["bases"][1][0] = float("nan")
+    else:
+        doc["weights"][1] = float("nan")
+    path.write_text(json.dumps(doc))
+    result = run("frame", "info", str(path))
+    assert result.exit_code == 2
+    assert "cannot load frame" in result.output
+
+
 def test_solve_reports_recovery(tmp_path):
     out = tmp_path / "report.json"
     result = run("solve", "-n", "10", "-d", "4", "-k", "1", "--frame-seed", "2",
                  "-m", "8", "-s", "1", "--seed", "5", "--out", str(out))
     assert result.exit_code == 0, result.output
+    assert result.output == out.read_text() + "\n"
     doc = json.loads(out.read_text())
     assert doc["rel_err"] <= 1e-4
     assert doc["converged"]
@@ -149,6 +165,7 @@ def test_certificate_dump(tmp_path):
     result = run("certificate", "-n", "12", "-d", "4", "-k", "1", "-m", "30",
                  "-s", "2", "--seed", "4", "--out", str(out))
     assert result.exit_code == 0, result.output
+    assert result.output == out.read_text() + "\n"
     doc = json.loads(out.read_text())
     assert sum(doc["partition"]) == 30
     assert len(doc["residual_norms_l2"]) == len(doc["partition"]) + 1

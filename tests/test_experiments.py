@@ -343,7 +343,7 @@ def test_seeded_instance_matches_hand_written_draws(kind):
     rng = np.random.default_rng(11 + 5 * 10**11)
     expected_support = random_support(12, 3, rng)
     expected_x = sparse_signal(frame, expected_support, rng)
-    expected = draw_matrix(kind, 7, 12, 11, frame, normalized=True)
+    expected = draw_matrix(kind, 7, 12, 11, frame)
     assert np.array_equal(support.indices, expected_support.indices)
     assert np.array_equal(x.blocks, expected_x.blocks)
     assert np.array_equal(ensemble.matrix, expected.matrix)

@@ -68,6 +68,19 @@ def test_frame_rejects_non_orthonormal_basis():
         FusionFrame(bases)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["basis", "weight"])
+def test_frame_rejects_non_finite_input(where, bad):
+    bases = orthogonal_frame(3, 1).bases.copy()
+    weights = np.ones(3)
+    if where == "basis":
+        bases[1, 0, 0] = bad
+    else:
+        weights[1] = bad
+    with pytest.raises(ValueError):
+        FusionFrame(bases, weights=weights)
+
+
 # -- frame bounds --------------------------------------------------------------
 
 def test_frame_bounds_orthogonal_resolution():
@@ -282,9 +295,8 @@ def test_lambda_decreases_with_ambient_dimension():
 def test_expand_coefficients_roundtrip():
     fr = random_frame(7, 5, 2, seed=71)
     rng = np.random.default_rng(72)
-    c = BlockVector(rng.standard_normal((7, 2)), form="coefficient")
+    c = BlockVector(rng.standard_normal((7, 2)))
     x = fr.expand(c)
-    assert x.form == "ambient"
     back = fr.coefficients(x)
     assert np.abs(back.blocks - c.blocks).max() <= 1e-12
     # expanded blocks lie in their subspaces: projecting changes nothing

@@ -15,8 +15,7 @@ from ffsparse import (
 
 
 def signal_in_subspaces(frame, rng):
-    c = BlockVector(rng.standard_normal((frame.n_subspaces, frame.dim_subspace)),
-                    form="coefficient")
+    c = BlockVector(rng.standard_normal((frame.n_subspaces, frame.dim_subspace)))
     return frame.expand(c)
 
 
@@ -48,16 +47,21 @@ def test_draw_validation():
         MeasurementEnsemble(np.array([[0.5, 1.0]]), "bernoulli")
 
 
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_rejected(kind, bad):
+    with pytest.raises(ValueError):
+        MeasurementEnsemble(np.array([[1.0, bad], [-1.0, 1.0]]), kind)
+
+
 def test_normalization_flag():
+    # every ensemble measures with A / sqrt(m)
     fr = random_frame(5, 4, 2, seed=3)
     e = draw_matrix("bernoulli", 9, 5, seed=4, frame=fr)
-    assert e.scale == 1.0
-    en = e.with_normalization()
-    assert en.scale == pytest.approx(1.0 / 3.0)
-    assert en.matrix is e.matrix  # one stored matrix, no copies
+    assert e.scale == 1.0 / 3.0
     rng = np.random.default_rng(6)
     x = signal_in_subspaces(fr, rng)
-    assert np.abs(en.measure(x).blocks * 3.0 - e.measure(x).blocks).max() <= 1e-12
+    assert np.abs(e.measure(x).blocks * 3.0 - e.matrix @ x.blocks).max() <= 1e-12
 
 
 # -- operators -----------------------------------------------------------------
@@ -109,8 +113,7 @@ def test_adjoint_inner_product_identity():
         k = int(rng.integers(1, d + 1))
         m = int(rng.integers(1, 8))
         fr = random_frame(n, d, k, seed=int(rng.integers(1e6)))
-        e = draw_matrix("gaussian", m, n, seed=int(rng.integers(1e6)), frame=fr,
-                        normalized=bool(rng.integers(0, 2)))
+        e = draw_matrix("gaussian", m, n, seed=int(rng.integers(1e6)), frame=fr)
         x = BlockVector(rng.standard_normal((n, d)))
         h = BlockVector(rng.standard_normal((m, d)))
         lhs = float(np.sum(e.measure(x).blocks * h.blocks))
@@ -130,6 +133,17 @@ def test_dimension_mismatch_errors():
         e.adjoint(BlockVector.zeros(3, 3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("operator", ["check_measurements", "adjoint", "coefficient_adjoint"])
+def test_non_finite_measurements_rejected(operator, bad):
+    fr = random_frame(4, 3, 1, seed=15)
+    e = draw_matrix("bernoulli", 2, 4, seed=16, frame=fr)
+    h = np.ones((2, 3))
+    h[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        getattr(e, operator)(BlockVector(h))
+
+
 # -- coefficient matrix -----------------------------------------------------------
 
 def test_coefficient_matrix_zero():
@@ -142,7 +156,7 @@ def test_coefficient_matrix_matches_operator():
     rng = np.random.default_rng(19)
     fr = random_frame(4, 5, 2, seed=20)
     e = draw_matrix("gaussian", 3, 4, seed=21, frame=fr)
-    c = BlockVector(rng.standard_normal((4, 2)), form="coefficient")
+    c = BlockVector(rng.standard_normal((4, 2)))
     via_matrix = e.coefficient_matrix() @ c.to_flat()
     via_operator = e.measure(fr.expand(c)).to_flat()
     assert np.abs(via_matrix - via_operator).max() <= 1e-10
@@ -170,9 +184,8 @@ def test_three_way_agreement():
         if m * d > 50 or n * k > 50:
             continue
         fr = random_frame(n, d, k, seed=int(rng.integers(1e6)))
-        e = draw_matrix("bernoulli", m, n, seed=int(rng.integers(1e6)), frame=fr,
-                        normalized=True)
-        c = BlockVector(rng.standard_normal((n, k)), form="coefficient")
+        e = draw_matrix("bernoulli", m, n, seed=int(rng.integers(1e6)), frame=fr)
+        c = BlockVector(rng.standard_normal((n, k)))
         x = fr.expand(c)
         y_op = e.measure(x).to_flat()
         y_plain = e.measure_blockwise(x).to_flat()
@@ -186,10 +199,9 @@ def test_three_way_agreement():
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
-@pytest.mark.parametrize("normalized", [False, True])
-def test_gram_matches_dense_product(kind, normalized):
+def test_gram_matches_dense_product(kind):
     fr = random_frame(9, 5, 2, seed=61)
-    e = draw_matrix(kind, 7, 9, seed=62, frame=fr, normalized=normalized)
+    e = draw_matrix(kind, 7, 9, seed=62, frame=fr)
     matrix = e.coefficient_matrix()
     dense = matrix.T @ matrix
     gram = e.gram()
@@ -209,8 +221,7 @@ def test_restricted_gram_matches_block_assembly():
     for _ in range(10):
         n, d, k, m, s = 5, 4, 2, 3, 2
         fr = random_frame(n, d, k, seed=int(rng.integers(1e6)))
-        e = draw_matrix("bernoulli", m, n, seed=int(rng.integers(1e6)), frame=fr,
-                        normalized=True)
+        e = draw_matrix("bernoulli", m, n, seed=int(rng.integers(1e6)), frame=fr)
         support = random_support(n, s, rng)
         idx = support.indices
         cols = np.concatenate([np.arange(j * k, (j + 1) * k) for j in idx])
@@ -240,7 +251,7 @@ def test_expected_isometry_over_bernoulli_draws():
     def avg_deviation(trials):
         acc = np.zeros((6, 6))
         for t in range(trials):
-            e = draw_matrix("bernoulli", 4, 8, seed=1000 + t, frame=fr, normalized=True)
+            e = draw_matrix("bernoulli", 4, 8, seed=1000 + t, frame=fr)
             sub = e.coefficient_matrix()[:, cols]
             acc += sub.T @ sub
         acc /= trials
@@ -267,12 +278,19 @@ def test_add_noise_exact_boundary():
         y = BlockVector(rng.standard_normal((7, 4)))
         sample = add_noise(y, eta, seed=int(rng.integers(1e6)))
         norm = float(np.linalg.norm(sample.noise.blocks))
-        assert norm / math.sqrt(7) == pytest.approx(eta, abs=1e-12)
+        assert norm == pytest.approx(eta * math.sqrt(7) / math.sqrt(7), abs=1e-12)
         assert np.abs(sample.y.blocks - y.blocks - sample.noise.blocks).max() <= 1e-12
 
 
 def test_add_noise_respects_scale():
+    # the noise sits on the ball of the 1 / sqrt(m) scale: eta * sqrt(m) / sqrt(m)
     rng = np.random.default_rng(28)
     y = BlockVector(rng.standard_normal((9, 2)))
-    sample = add_noise(y, 0.06, seed=5, scale=1.0 / 3.0)
+    sample = add_noise(y, 0.06, seed=5)
     assert float(np.linalg.norm(sample.noise.blocks)) == pytest.approx(0.06, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta", [-0.1, math.nan, math.inf])
+def test_add_noise_rejects_bad_level(eta):
+    with pytest.raises(ValueError):
+        add_noise(BlockVector(np.ones((3, 2))), eta, seed=1)

@@ -39,7 +39,7 @@ def test_solver_config_validation():
 
 def test_equality_zero_measurements():
     fr = random_frame(5, 4, 2, seed=1)
-    e = draw_matrix("bernoulli", 3, 5, seed=2, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 3, 5, seed=2, frame=fr)
     report = solve_l1_equality(e, BlockVector.zeros(3, 4))
     assert np.all(report.x_hat.blocks == 0.0)
     assert report.converged
@@ -63,7 +63,7 @@ def test_equality_one_sparse_high_success():
         fr = random_frame(6, 4, 1, seed=t)
         rng = np.random.default_rng(1000 + t)
         x = sparse_signal(fr, random_support(6, 1, rng), rng)
-        e = draw_matrix("bernoulli", 4, 6, seed=2000 + t, frame=fr, normalized=True)
+        e = draw_matrix("bernoulli", 4, 6, seed=2000 + t, frame=fr)
         report = solve_l1_equality(e, e.measure(x))
         if relative_error(report.x_hat, x) > 1e-4:
             failures += 1
@@ -75,7 +75,7 @@ def test_equality_feasibility_on_convergence():
     for t in range(10):
         fr = random_frame(8, 5, 2, seed=50 + t)
         x = sparse_signal(fr, random_support(8, 3, rng), rng)
-        e = draw_matrix("gaussian", 6, 8, seed=60 + t, frame=fr, normalized=True)
+        e = draw_matrix("gaussian", 6, 8, seed=60 + t, frame=fr)
         report = solve_l1_equality(e, e.measure(x))
         assert report.converged
         assert report.constraint_residual <= 1e-8
@@ -85,20 +85,40 @@ def test_equality_scaling_equivariance():
     fr = random_frame(7, 5, 2, seed=6)
     rng = np.random.default_rng(7)
     x = sparse_signal(fr, random_support(7, 2, rng), rng)
-    e = draw_matrix("bernoulli", 5, 7, seed=8, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 5, 7, seed=8, frame=fr)
     y = e.measure(x)
     base = solve_l1_equality(e, y, TIGHT)
     scaled = solve_l1_equality(e, 3.7 * y, TIGHT)
     assert np.abs(scaled.x_hat.blocks - 3.7 * base.x_hat.blocks).max() <= 1e-8
 
 
+# the three programs share the ensemble's one check on the measurements
+PROGRAMS = {
+    "equality": solve_l1_equality,
+    "block": solve_block_baseline,
+    "noisy": lambda e, y: solve_l1_noisy(e, y, 0.1),
+}
+
+
 def test_equality_rejects_bad_shapes():
     fr = random_frame(5, 4, 2, seed=9)
     e = draw_matrix("bernoulli", 3, 5, seed=10, frame=fr)
-    with pytest.raises(ValueError):
-        solve_l1_equality(e, BlockVector.zeros(4, 4))
-    with pytest.raises(ValueError):
-        solve_l1_equality(e, BlockVector.zeros(3, 3))
+    for program in PROGRAMS.values():
+        with pytest.raises(ValueError, match="do not match"):
+            program(e, BlockVector.zeros(4, 4))
+        with pytest.raises(ValueError, match="do not match"):
+            program(e, BlockVector.zeros(3, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_programs_reject_non_finite_measurements(program, bad):
+    fr = random_frame(5, 4, 2, seed=9)
+    e = draw_matrix("bernoulli", 3, 5, seed=10, frame=fr)
+    blocks = np.ones((3, 4))
+    blocks[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PROGRAMS[program](e, BlockVector(blocks))
 
 
 # -- noisy program -----------------------------------------------------------------
@@ -109,7 +129,7 @@ def test_noisy_zero_eta_matches_equality():
         fr = random_frame(8, 5, 2, seed=100 + t)
         rng = np.random.default_rng(200 + t)
         x = sparse_signal(fr, random_support(8, 2, rng), rng)
-        e = draw_matrix("bernoulli", 6, 8, seed=300 + t, frame=fr, normalized=True)
+        e = draw_matrix("bernoulli", 6, 8, seed=300 + t, frame=fr)
         y = e.measure(x)
         a = solve_l1_equality(e, y)
         b = solve_l1_noisy(e, y, 0.0)
@@ -121,22 +141,24 @@ def test_noisy_huge_eta_returns_zero():
     fr = random_frame(5, 3, 2, seed=11)
     rng = np.random.default_rng(12)
     x = sparse_signal(fr, random_support(5, 2, rng), rng)
-    e = draw_matrix("gaussian", 3, 5, seed=13, frame=fr, normalized=True)
+    e = draw_matrix("gaussian", 3, 5, seed=13, frame=fr)
     y = e.measure(x)
-    eta = 2.0 * float(np.linalg.norm(y.blocks)) / np.sqrt(3) / e.scale
-    report = solve_l1_noisy(e, y, eta)
-    assert report.objective <= 1e-8
-    assert float(np.linalg.norm(report.x_hat.blocks)) <= 1e-8
+    # a ball of radius 2 ||y||, and one of infinite radius: zero is optimal
+    for eta in (2.0 * float(np.linalg.norm(y.blocks)) / np.sqrt(3) / e.scale, np.inf):
+        report = solve_l1_noisy(e, y, eta)
+        assert report.converged and report.iterations == 0
+        assert report.objective <= 1e-8
+        assert float(np.linalg.norm(report.x_hat.blocks)) <= 1e-8
 
 
 def test_noisy_ball_feasibility():
     fr = random_frame(10, 6, 2, seed=14)
     rng = np.random.default_rng(15)
     x = sparse_signal(fr, random_support(10, 2, rng), rng)
-    e = draw_matrix("gaussian", 8, 10, seed=16, frame=fr, normalized=True)
+    e = draw_matrix("gaussian", 8, 10, seed=16, frame=fr)
     from ffsparse import add_noise
 
-    sample = add_noise(e.measure(x), 0.05, seed=17, scale=e.scale)
+    sample = add_noise(e.measure(x), 0.05, seed=17)
     report = solve_l1_noisy(e, sample.y, 0.05)
     assert report.converged
     assert report.constraint_residual <= 1e-8
@@ -146,16 +168,17 @@ def test_noisy_ball_feasibility():
 
 def test_noisy_rejects_negative_eta():
     fr = random_frame(4, 3, 1, seed=18)
-    e = draw_matrix("bernoulli", 2, 4, seed=19, frame=fr, normalized=True)
-    with pytest.raises(ValueError):
-        solve_l1_noisy(e, BlockVector.zeros(2, 3), -0.1)
+    e = draw_matrix("bernoulli", 2, 4, seed=19, frame=fr)
+    for eta in (-0.1, np.nan):  # NaN fails the same test
+        with pytest.raises(ValueError, match="eta"):
+            solve_l1_noisy(e, BlockVector.zeros(2, 3), eta)
 
 
 # -- block-sparsity baseline ----------------------------------------------------------
 
 def test_baseline_zero():
     fr = random_frame(5, 3, 1, seed=20)
-    e = draw_matrix("bernoulli", 3, 5, seed=21, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 3, 5, seed=21, frame=fr)
     report = solve_block_baseline(e, BlockVector.zeros(3, 3))
     assert np.all(report.x_hat.blocks == 0.0)
 
@@ -164,7 +187,7 @@ def test_baseline_coincides_with_subspace_program_when_k_equals_d():
     fr = random_frame(5, 2, 2, seed=22)
     rng = np.random.default_rng(23)
     x = sparse_signal(fr, random_support(5, 1, rng), rng)
-    e = draw_matrix("bernoulli", 3, 5, seed=24, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 3, 5, seed=24, frame=fr)
     y = e.measure(x)
     a = solve_l1_equality(e, y, TIGHT)
     b = solve_block_baseline(e, y, TIGHT)
@@ -175,7 +198,7 @@ def test_baseline_recovers_with_many_measurements():
     fr = random_frame(8, 3, 1, seed=25)
     rng = np.random.default_rng(26)
     x = sparse_signal(fr, random_support(8, 1, rng), rng)
-    e = draw_matrix("bernoulli", 7, 8, seed=27, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 7, 8, seed=27, frame=fr)
     report = solve_block_baseline(e, e.measure(x))
     assert relative_error(report.x_hat, x) <= 1e-4
 
@@ -228,7 +251,7 @@ def test_oracle_recovers_one_sparse():
     fr = random_frame(6, 4, 2, seed=34)
     rng = np.random.default_rng(35)
     x = sparse_signal(fr, random_support(6, 1, rng), rng)
-    e = draw_matrix("bernoulli", 2, 6, seed=36, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 2, 6, seed=36, frame=fr)
     out = solve_l0_oracle(e, e.measure(x), max_s=2)
     assert out is not None
     assert np.abs(out.blocks - x.blocks).max() <= 1e-8
@@ -237,7 +260,7 @@ def test_oracle_recovers_one_sparse():
 
 def test_oracle_zero_measurements():
     fr = random_frame(5, 3, 1, seed=37)
-    e = draw_matrix("bernoulli", 2, 5, seed=38, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 2, 5, seed=38, frame=fr)
     out = solve_l0_oracle(e, BlockVector.zeros(2, 3), max_s=2)
     assert out is not None
     assert np.all(out.blocks == 0.0)
@@ -273,7 +296,7 @@ def test_l1_objective_matches_oracle_on_tiny_instances():
         fr = random_frame(8, 5, 1, seed=60 + t)
         rng = np.random.default_rng(70 + t)
         x = sparse_signal(fr, random_support(8, 2, rng), rng)
-        e = draw_matrix("bernoulli", 6, 8, seed=80 + t, frame=fr, normalized=True)
+        e = draw_matrix("bernoulli", 6, 8, seed=80 + t, frame=fr)
         y = e.measure(x)
         oracle = solve_l0_oracle(e, y, max_s=2)
         if oracle is None or relative_error(oracle, x) > 1e-6:
@@ -347,7 +370,7 @@ def test_tall_equality_takes_the_gram_route():
     from ffsparse.solver import _equality_parametrization
 
     fr = random_frame(20, 5, 2, seed=64)
-    e = draw_matrix("bernoulli", 30, 20, seed=65, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", 30, 20, seed=65, frame=fr)
     rng = np.random.default_rng(66)
     y = e.measure(sparse_signal(fr, random_support(20, 3, rng), rng))
     matrix, b = e.coefficient_matrix(), y.to_flat()
@@ -368,7 +391,7 @@ def _twin_block_ensemble(gap):
     base[1] = base[0]
     a = draw_matrix("gaussian", 8, 6, seed=68).matrix.copy()
     a[:, 1] = a[:, 0] + gap * np.random.default_rng(1).standard_normal(8)
-    e = MeasurementEnsemble(a, "gaussian", FusionFrame(base), normalized=True)
+    e = MeasurementEnsemble(a, "gaussian", FusionFrame(base))
     y = BlockVector(np.random.default_rng(69).standard_normal((8, 5)))
     return e, y, e.coefficient_matrix(), y.to_flat()
 
@@ -385,7 +408,7 @@ def test_rank_deficient_tall_equality_falls_back_to_the_svd():
     assert basis.shape == (12, 2)
     assert np.abs(matrix @ basis).max() <= 1e-12
     report = solve_l1_equality(e, e.measure(e.frame.expand(BlockVector(
-        np.random.default_rng(70).standard_normal((6, 2)), "coefficient"))))
+        np.random.default_rng(70).standard_normal((6, 2))))))
     assert report.converged
 
 
@@ -410,7 +433,7 @@ def test_baseline_parametrization_matches_dense_svd(m):
     from ffsparse.solver import _affine_parametrization, _equality_parametrization
 
     fr = random_frame(7, 3, 1, seed=71)
-    e = draw_matrix("bernoulli", m, 7, seed=72, frame=fr, normalized=True)
+    e = draw_matrix("bernoulli", m, 7, seed=72, frame=fr)
     y = BlockVector(np.random.default_rng(73).standard_normal((m, 3)))
     matrix, b = e.blockwise_matrix(), y.to_flat()
     c0, basis = _equality_parametrization(e, y, matrix, b, True)
@@ -430,9 +453,9 @@ def _noisy_instance(n_sub, m):
     fr = random_frame(n_sub, 5, 2, seed=45 + n_sub)
     rng = np.random.default_rng(46)
     x = sparse_signal(fr, random_support(n_sub, 2, rng), rng)
-    e = draw_matrix("gaussian", m, n_sub, seed=47, frame=fr, normalized=True)
+    e = draw_matrix("gaussian", m, n_sub, seed=47, frame=fr)
     y = e.measure(x)
-    return fr, e, y, add_noise(y, 0.03, seed=48, scale=e.scale)
+    return fr, e, y, add_noise(y, 0.03, seed=48)
 
 
 @pytest.mark.parametrize("n_sub,m", [(10, 3), (6, 4)])
@@ -460,7 +483,7 @@ def test_ball_newton_matrix_matches_dense():
     from ffsparse.solver import _ball_newton_matrix
 
     fr = random_frame(100, 12, 2, seed=76)
-    e = draw_matrix("gaussian", 16, 100, seed=77, frame=fr, normalized=True)
+    e = draw_matrix("gaussian", 16, 100, seed=77, frame=fr)
     matrix = e.coefficient_matrix()
     rng = np.random.default_rng(78)
     w1 = rng.standard_normal((100, 2))
@@ -542,9 +565,9 @@ def test_noisy_polish_recovers_from_a_wrong_start(base_seed, cell_index, trial):
     cell = _cells(spec)[cell_index]
     seed = _trial_seed(spec.base_seed, cell["index"], trial)
     frame = _group_frame(spec, cell)
-    e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
+    e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame)
     sample = add_noise(e.measure(_cell_signal(spec, cell, frame)), cell["sigma"],
-                       seed + _NOISE_SEED_OFFSET, e.scale)
+                       seed + _NOISE_SEED_OFFSET)
     report = solve_l1_noisy(e, sample.y, cell["sigma"])
     assert report.converged
     c = np.stack([frame.basis(j).T @ report.x_hat.block(j) for j in range(spec.N)])
@@ -580,7 +603,7 @@ def _ff_vs_block_instance(trial):
     assert cell["m"] == 6 and seed == 1_000_000 + trial
     frame = _group_frame(spec, cell)
     x = _cell_signal(spec, cell, frame)
-    e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame, normalized=True)
+    e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame)
     return e, e.measure(x), SolverConfig()
 
 
