@@ -55,11 +55,11 @@ class FusionFrame:
         n, d, k = arr.shape
         if n < 1 or not 1 <= k <= d:
             raise ValueError(f"need N >= 1 and 1 <= k <= d, got N={n}, d={d}, k={k}")
-        eye = np.eye(k)
-        for j in range(n):
-            deviation = np.abs(arr[j].T @ arr[j] - eye).max()
-            if not deviation <= _ORTHO_TOL:  # NaN fails
-                raise ValueError(f"basis {j} is not orthonormal (deviation {deviation:.2e})")
+        deviation = np.abs(arr.transpose(0, 2, 1) @ arr - np.eye(k)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(deviation <= _ORTHO_TOL))  # NaN fails
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"basis {j} is not orthonormal (deviation {deviation[j]:.2e})")
         if weights is None:
             w = np.ones(n)
         else:
@@ -201,26 +201,45 @@ def random_frame(n_subspaces: int, dim_ambient: int, dim_subspace: int, seed: in
     in R^d orthonormalized by QR.  Deterministic given the seed.
 
     The QR factor is sign-fixed (diagonal of R forced positive) so the bases
-    are reproducible across platforms.
+    are reproducible across platforms.  All N draws are factored by one
+    stacked QR; a rank-deficient draw (a probability-zero event) is redrawn,
+    which shifts the random stream, so only then does the subspace-by-subspace
+    loop run again from the seed.  The bases are the loop's in every case.
     """
     if not 1 <= dim_subspace <= dim_ambient:
         raise ValueError(f"need 1 <= k <= d, got k={dim_subspace}, d={dim_ambient}")
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
     rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_subspaces, dim_subspace, dim_ambient)).transpose(0, 2, 1)
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    if _rank_deficient(diag).any():
+        return FusionFrame(_redrawn_bases(n_subspaces, dim_ambient, dim_subspace, seed),
+                           seed=seed)
+    return FusionFrame(q * np.sign(diag)[:, None, :], seed=seed)
+
+
+def _rank_deficient(diag: np.ndarray) -> np.ndarray:
+    """Per row of R diagonals, whether the QR factor's draw lacks full rank."""
+    size = np.abs(diag)
+    return size.min(axis=-1) <= 1e-12 * np.maximum(1.0, size.max(axis=-1))
+
+
+def _redrawn_bases(n_subspaces: int, dim_ambient: int, dim_subspace: int,
+                   seed: int) -> np.ndarray:
+    """random_frame's bases drawn subspace by subspace, redrawing each
+    rank-deficient draw."""
+    rng = np.random.default_rng(seed)
     bases = np.empty((n_subspaces, dim_ambient, dim_subspace))
     for j in range(n_subspaces):
         while True:
-            g = rng.standard_normal((dim_subspace, dim_ambient)).T
-            q, r = np.linalg.qr(g)
+            q, r = np.linalg.qr(rng.standard_normal((dim_subspace, dim_ambient)).T)
             diag = np.diag(r)
-            # rank-deficient draw: probability-zero event, redraw
-            if np.abs(diag).min() <= 1e-12 * max(1.0, np.abs(diag).max()):
-                continue
-            q = q * np.sign(diag)[None, :]
-            bases[j] = q
-            break
-    return FusionFrame(bases, seed=seed)
+            if not _rank_deficient(diag):
+                bases[j] = q * np.sign(diag)[None, :]
+                break
+    return bases
 
 
 def orthogonal_frame(n_subspaces: int, dim_subspace: int = 1) -> FusionFrame:

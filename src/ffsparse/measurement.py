@@ -111,21 +111,23 @@ class MeasurementEnsemble:
         if not np.isfinite(y.blocks).all():
             raise ValueError("measurements must be finite")
 
-    def measure(self, x: BlockVector) -> BlockVector:
-        """Projected block operator: output block i = scale * sum_j a_ij P_j x_j."""
-        frame = self.frame
-        if x.n_blocks != self.n or x.block_len != frame.dim_ambient:
+    def _check_signal(self, x: BlockVector) -> None:
+        """Raise ValueError unless x has N blocks of length d."""
+        if x.n_blocks != self.n or x.block_len != self.frame.dim_ambient:
             raise ValueError(
                 f"signal shape ({x.n_blocks}, {x.block_len}) does not match "
-                f"ensemble (N={self.n}, d={frame.dim_ambient})"
+                f"ensemble (N={self.n}, d={self.frame.dim_ambient})"
             )
-        projected = frame.project_blocks(x.blocks)
+
+    def measure(self, x: BlockVector) -> BlockVector:
+        """Projected block operator: output block i = scale * sum_j a_ij P_j x_j."""
+        self._check_signal(x)
+        projected = self.frame.project_blocks(x.blocks)
         return BlockVector(self.scale * (self._matrix @ projected))
 
     def measure_blockwise(self, x: BlockVector) -> BlockVector:
         """Plain block operator: output block i = scale * sum_j a_ij x_j."""
-        if x.n_blocks != self.n:
-            raise ValueError(f"signal has {x.n_blocks} blocks, ensemble expects {self.n}")
+        self._check_signal(x)
         return BlockVector(self.scale * (self._matrix @ x.blocks))
 
     def _mix_adjoint(self, h: BlockVector) -> np.ndarray:

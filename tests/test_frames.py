@@ -55,6 +55,45 @@ def test_random_frame_deterministic():
     assert not np.array_equal(a.bases, c.bases)
 
 
+def _sequential_frame_bases(n, d, k, seed):
+    """random_frame's bases drawn and factored one subspace at a time."""
+    rng = np.random.default_rng(seed)
+    bases = np.empty((n, d, k))
+    for j in range(n):
+        q, r = np.linalg.qr(rng.standard_normal((k, d)).T)
+        bases[j] = q * np.sign(np.diag(r))[None, :]
+    return bases
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_frame_matches_sequential_draws(k):
+    for n, d, seed in [(100, 12, 1), (60, 6, 2), (7, 3, 3)]:
+        assert np.array_equal(random_frame(n, d, k, seed).bases,
+                              _sequential_frame_bases(n, d, k, seed))
+
+
+def test_random_frame_redraws_a_rank_deficient_draw(monkeypatch):
+    # a stacked QR that reports a rank-deficient draw sends the frame through
+    # the subspace-by-subspace loop, which, with no draw rank-deficient
+    # there, gives the same bases
+    real_qr = np.linalg.qr
+    stacked_calls = []
+
+    def qr_with_a_deficient_stack(a, *args, **kwargs):
+        q, r = real_qr(a, *args, **kwargs)
+        if a.ndim == 3:
+            stacked_calls.append(a.shape)
+            r = r.copy()
+            r[2, 0, 0] = 0.0
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", qr_with_a_deficient_stack)
+    fr = random_frame(6, 4, 2, seed=9)
+    assert stacked_calls == [(6, 4, 2)]
+    monkeypatch.undo()
+    assert np.array_equal(fr.bases, _sequential_frame_bases(6, 4, 2, 9))
+
+
 def test_random_frame_rejects_bad_dims():
     with pytest.raises(ValueError):
         random_frame(5, 2, 3, seed=0)
@@ -65,6 +104,14 @@ def test_random_frame_rejects_bad_dims():
 def test_frame_rejects_non_orthonormal_basis():
     bases = np.ones((1, 3, 2))
     with pytest.raises(ValueError):
+        FusionFrame(bases)
+
+
+def test_frame_names_the_first_non_orthonormal_basis():
+    bases = orthogonal_frame(4, 1).bases.copy()
+    bases[3, 3, 0] = 2.0
+    bases[1, 1, 0] = 1.5
+    with pytest.raises(ValueError, match=r"^basis 1 is not orthonormal \(deviation 1\.25e\+00\)$"):
         FusionFrame(bases)
 
 

@@ -133,6 +133,17 @@ def test_dimension_mismatch_errors():
         e.adjoint(BlockVector.zeros(3, 3))
 
 
+def test_measure_blockwise_rejects_wrong_block_length():
+    # a (4, 5) signal on a d = 3 frame used to come back as (2, 5)
+    # "measurements"
+    fr = random_frame(4, 3, 1, seed=15)
+    e = draw_matrix("bernoulli", 2, 4, seed=16, frame=fr)
+    with pytest.raises(ValueError, match="does not match"):
+        e.measure_blockwise(BlockVector.zeros(4, 5))
+    with pytest.raises(ValueError, match="does not match"):
+        e.measure_blockwise(BlockVector.zeros(5, 3))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("operator", ["check_measurements", "adjoint", "coefficient_adjoint"])
 def test_non_finite_measurements_rejected(operator, bad):

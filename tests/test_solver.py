@@ -26,6 +26,22 @@ from ffsparse import (
 TIGHT = SolverConfig(tol_primal=1e-11, tol_dual=1e-11)
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported at the first factorization, so the commands
+    # that never solve start without it
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, ffsparse, ffsparse.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
@@ -477,7 +493,8 @@ def test_noisy_matches_tight_solve_wide_and_tall(n_sub, m):
 
 def test_ball_newton_matrix_matches_dense():
     # a random iterate at the desk_noisy shape: NT scaling points wb with
-    # wb^T J wb = 1 and positive scales; potrf reads the lower triangle
+    # wb^T J wb = 1 and positive scales; potrf(out.T, lower=1) reads the
+    # upper triangle
     import scipy.linalg
 
     from ffsparse.solver import _ball_newton_matrix
@@ -495,8 +512,50 @@ def test_ball_newton_matrix_matches_dense():
     beta2 = 0.37
     dense = (matrix.T @ matrix + 2.0 * np.outer(g, g)) / beta2 \
         + scipy.linalg.block_diag(*blocks)
-    out = _ball_newton_matrix(np.empty((200, 200)), e.gram(), g, beta2, blocks)
-    assert np.abs(np.tril(out) - np.tril(dense)).max() <= 1e-13 * np.abs(dense).max()
+    out = _ball_newton_matrix(100, 2)(e.gram(), g, beta2, blocks)
+    assert np.abs(np.triu(out) - np.triu(dense)).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_gram_solution_matches_dense_least_squares():
+    # the lower Cholesky factor of the Gram, with its refinement step, gives
+    # the least-squares point of a tall, inconsistent, well-conditioned system
+    from ffsparse.solver import _gram_solution
+
+    e, y, matrix, b = _twin_block_ensemble(1.0)
+    c = _gram_solution(e.gram(), e.coefficient_adjoint(y), matrix, b)
+    expected = np.linalg.lstsq(matrix, b, rcond=None)[0]
+    assert np.abs(c - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_ball_start_matches_dense_solve(monkeypatch):
+    # the ball program's start is the least-squares point of M c = b with the
+    # Gram's diagonal shifted by 1e-10 of its mean: the first potrs result
+    import scipy.linalg
+
+    _, e, _, sample = _noisy_instance(6, 4)
+    real = scipy.linalg.get_lapack_funcs
+    solutions = []
+
+    def recording_funcs(names, arrays=()):
+        funcs = real(names, arrays)
+        if names != ("potrf", "potrs"):
+            return funcs
+        potrf, potrs = funcs
+
+        def recording_potrs(*args, **kwargs):
+            result = potrs(*args, **kwargs)
+            solutions.append(result[0].copy())
+            return result
+
+        return potrf, recording_potrs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording_funcs)
+    solve_l1_noisy(e, sample.y, 0.03)
+    gram, matrix, b = e.gram(), e.coefficient_matrix(), sample.y.to_flat()
+    n = gram.shape[0]
+    shifted = gram + 1e-10 * np.trace(gram) / n * np.eye(n)
+    expected = np.linalg.solve(shifted, matrix.T @ b)
+    assert np.abs(solutions[0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_ball_solve_recovers_from_failed_factorizations(monkeypatch):
