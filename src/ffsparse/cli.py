@@ -44,6 +44,9 @@ from .solver import relative_error
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+# every seed seeds np.random.default_rng, which takes no negative integer;
+# click rejects one with exit code 2
+_SEED = click.IntRange(min=0)
 
 
 def _fail(code: int, message: str):
@@ -66,7 +69,7 @@ def frame():
 @click.option("--subspaces", "-n", "n_subspaces", type=int, required=True)
 @click.option("--ambient-dim", "-d", type=int, required=True)
 @click.option("--subspace-dim", "-k", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def frame_gen(n_subspaces, ambient_dim, subspace_dim, seed, out):
     """Draw a random fusion frame and write it as JSON."""
@@ -82,7 +85,7 @@ def frame_gen(n_subspaces, ambient_dim, subspace_dim, seed, out):
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--support-size", "-s", type=int, default=None,
               help="Also report norms for a seeded random support of this size.")
-@click.option("--support-seed", type=int, default=0, show_default=True)
+@click.option("--support-seed", type=_SEED, default=0, show_default=True)
 def frame_info(path, support_size, support_seed):
     """Print frame bounds and incoherence diagnostics."""
     try:
@@ -127,7 +130,7 @@ _FRAME_OPTIONS = (
     click.option("--subspaces", "-n", "n_subspaces", type=int, default=None),
     click.option("--ambient-dim", "-d", type=int, default=None),
     click.option("--subspace-dim", "-k", type=int, default=None),
-    click.option("--frame-seed", type=int, default=0, show_default=True),
+    click.option("--frame-seed", type=_SEED, default=0, show_default=True),
 )
 
 
@@ -172,7 +175,7 @@ def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:
               show_default=True)
 @click.option("--measurements", "-m", type=int, required=True)
 @click.option("--sparsity", "-s", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--eta", type=float, default=None,
               help="Noise level; switches to the noisy program.")
 @click.option("--program", type=click.Choice(["subspace", "block"]), default="subspace",
@@ -211,7 +214,7 @@ def solve(fr, kind, measurements, sparsity, seed, eta, program, out):
 @main.command("bounds")
 @_frame_options
 @click.option("--sparsity", "-s", type=int, required=True)
-@click.option("--support-seed", type=int, default=0, show_default=True)
+@click.option("--support-seed", type=_SEED, default=0, show_default=True)
 @click.option("--eps", type=float, default=0.1, show_default=True)
 @click.option("--const", type=float, default=1.0, show_default=True,
               help="Stand-in for the unspecified universal constant.")
@@ -250,7 +253,7 @@ def _short(value):
               show_default=True)
 @click.option("--measurements", "-m", type=int, required=True)
 @click.option("--sparsity", "-s", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def certificate(fr, kind, measurements, sparsity, seed, out):
     """Build the golfing dual certificate for a seeded instance and dump the
@@ -281,7 +284,7 @@ def certificate(fr, kind, measurements, sparsity, seed, out):
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--trials", type=int, default=None, help="Override the spec's trial count.")
-@click.option("--base-seed", type=int, default=None, help="Override the spec's base seed.")
+@click.option("--base-seed", type=_SEED, default=None, help="Override the spec's base seed.")
 @click.option("--threads", type=int, default=1, show_default=True)
 def experiment(name, spec_path, out, trials, base_seed, threads):
     """Run one experiment from a JSON spec and write trial rows as CSV

@@ -157,6 +157,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise SpecValidationError(f"unknown matrix kind {spec.kind!r}")
     if spec.trials < 1:
         raise SpecValidationError("trials must be >= 1")
+    if spec.base_seed < 0:
+        raise SpecValidationError("base_seed must be >= 0")
     if not 0 < spec.success_threshold <= 1:
         raise SpecValidationError("success_threshold must lie in (0, 1]")
     if spec.success_rel_err <= 0:

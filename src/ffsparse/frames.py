@@ -342,13 +342,34 @@ def frame_to_json(frame: FusionFrame) -> str:
     return json.dumps(doc)
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_floats(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{name} must hold numbers ({exc})") from exc
+
+
 def frame_from_json(text: str) -> FusionFrame:
+    """Parse ``frame_to_json`` output.  A malformed document raises
+    ValueError naming the field (KeyError for a missing one)."""
     doc = json.loads(text)
-    n, d, k = int(doc["N"]), int(doc["d"]), int(doc["k"])
-    bases = np.array([np.array(b, dtype=float).reshape(d, k) for b in doc["bases"]])
+    if not isinstance(doc, dict):
+        raise ValueError("a frame document must be a JSON object")
+    n, d, k = (_json_int(doc, key) for key in ("N", "d", "k"))
+    if not isinstance(doc["bases"], list):
+        raise ValueError("bases must be a list")
+    bases = np.array([_json_floats(b, "bases").reshape(d, k) for b in doc["bases"]])
     if bases.shape[0] != n:
         raise ValueError("basis count does not match N")
     weights = doc.get("weights")
+    weights = None if weights is None else _json_floats(weights, "weights")
     return FusionFrame(bases, weights=weights, seed=doc.get("seed"))
 
 

@@ -5,9 +5,10 @@ Gaussian) together with a fusion frame.  Two block operators share this
 matrix: the projected one, whose (i, j) block is a_ij P_j, and the plain
 blockwise one with blocks a_ij I_d.  They agree on signals whose blocks lie
 in their subspaces, which is why the projected operator can stand in for the
-plain one throughout.  Every operator is the rescaled one, A / sqrt(m),
-the scale in which the recovery, conditioning and golfing statements are
-made; ``scale`` is that 1 / sqrt(m).  The dense block operators are built on
+plain one throughout; over the identity frame (every U_j = I_d) the two are
+the same operator.  Every operator is the rescaled one, A / sqrt(m), the
+scale in which the recovery, conditioning and golfing statements are made;
+``scale`` is that 1 / sqrt(m).  The dense coefficient operator is built on
 first use, already in this scale, and every later call returns that same
 read-only array.
 
@@ -43,8 +44,7 @@ class MeasurementEnsemble:
     """Scalar measurement matrix plus the block operators it induces, all in
     the scale 1 / sqrt(m)."""
 
-    __slots__ = ("_matrix", "_kind", "_frame", "_seed", "_coeff_cache", "_plain_cache",
-                 "_gram_cache")
+    __slots__ = ("_matrix", "_kind", "_frame", "_seed", "_coeff_cache", "_gram_cache")
 
     def __init__(self, matrix, kind: str, frame: Optional[FusionFrame] = None,
                  seed: Optional[int] = None):
@@ -65,7 +65,6 @@ class MeasurementEnsemble:
         self._frame = frame
         self._seed = seed
         self._coeff_cache: Optional[np.ndarray] = None
-        self._plain_cache: Optional[np.ndarray] = None
         self._gram_cache: Optional[np.ndarray] = None
 
     @property
@@ -180,14 +179,9 @@ class MeasurementEnsemble:
 
     def blockwise_matrix(self) -> np.ndarray:
         """Dense (m*d, N*d) matrix of the plain block operator, blocks
-        scale * a_ij I_d.  Built once and shared read-only, like
-        ``coefficient_matrix``."""
-        if self._plain_cache is None:
-            d = self.frame.dim_ambient
-            mat = self.scale * np.kron(self._matrix, np.eye(d))
-            mat.setflags(write=False)
-            self._plain_cache = mat
-        return self._plain_cache
+        scale * a_ij I_d: ``coefficient_matrix`` over the identity frame,
+        kept as the reference form of ``measure_blockwise``."""
+        return self.scale * np.kron(self._matrix, np.eye(self.frame.dim_ambient))
 
     def __repr__(self) -> str:
         return (

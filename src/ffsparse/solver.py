@@ -28,10 +28,11 @@ c = c0 + B w:
   and B = Q2, used only when LAPACK's reciprocal condition estimate of R1
   (that of M) is at least 1e-8, since QR without pivoting does not reveal
   the rank.  Otherwise, rank-deficient operators included, the SVD runs as
-  above.  The block baseline's matrix is scale (A kron I_d), so one SVD of
-  the m x N matrix scale A gives c0 = vec(pinv(scale A) Y) and
-  B = null(A) kron I_d, with the same singular values and therefore the
-  same rank cutoff;
+  above.  Ahead of both, when every subspace has the same basis U,
+  M = scale (A kron U) and one SVD of the m x N matrix scale A gives
+  c0 = vec(pinv(scale A) Y U) and B = null(A) kron I_k, with M's nonzero
+  singular values and so its rank cutoff.  The block baseline, the equality
+  program over the identity frame (U_j = I_d), takes this route;
 - ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
   of the residual ball, whose Newton matrices read M^T M from
   ``ensemble.gram()``.  Radius 0 is the equality program.
@@ -79,7 +80,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockVector, norm_l21
-from .frames import incoherence, lambda_max
+from .frames import FusionFrame, incoherence, lambda_max
 from .measurement import MeasurementEnsemble, noise_radius
 
 __all__ = [
@@ -194,15 +195,16 @@ def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
 
 
 def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
-                              matrix: np.ndarray, b: np.ndarray, blockwise: bool):
+                              matrix: np.ndarray, b: np.ndarray):
     """(c0, B) of the equality program's feasible set, without the SVD of
-    the dense matrix where its structure allows: from the SVD of scale A for
-    the block baseline, from the guarded Gram route for a tall coefficient
-    matrix, from the guarded QR route for a wide one, and from the SVD of M
-    otherwise."""
-    if blockwise:
-        c0, null = _affine_parametrization(ensemble.scale * ensemble.matrix, y.blocks)
-        return c0.ravel(), np.kron(null, np.eye(y.block_len))
+    the dense matrix where its structure allows: from the SVD of scale A
+    when all subspaces share one basis (the block baseline's identity frame
+    included), from the guarded Gram route for a tall coefficient matrix,
+    from the guarded QR route for a wide one, and from the SVD of M otherwise."""
+    bases = ensemble.frame.bases
+    if (bases == bases[0]).all():
+        c0, null = _affine_parametrization(ensemble.scale * ensemble.matrix, y.blocks @ bases[0])
+        return c0.ravel(), np.kron(null, np.eye(bases.shape[2]))
     if matrix.shape[0] >= matrix.shape[1]:
         c0 = _gram_solution(ensemble.gram(), ensemble.coefficient_adjoint(y), matrix, b)
         if c0 is not None:
@@ -577,18 +579,16 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
 
 
 def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[SolverConfig],
-           blockwise: bool = False, radius: Optional[float] = None) -> SolveReport:
+           radius: Optional[float] = None) -> SolveReport:
     """Check and time one solve, run the equality program (the ball program
-    when a positive ``radius`` is given) on the coefficient matrix (on the blockwise
-    matrix, with blocks over all of R^d, when ``blockwise``) and report it."""
+    when a positive ``radius`` is given) on the coefficient matrix and
+    report it.  The block baseline is this equality program over the
+    identity frame."""
     cfg = config or SolverConfig()
     ensemble.check_measurements(y)
     t0 = time.perf_counter()
     frame = ensemble.frame
-    if blockwise:
-        matrix, block_len = ensemble.blockwise_matrix(), frame.dim_ambient
-    else:
-        matrix, block_len = ensemble.coefficient_matrix(), frame.dim_subspace
+    matrix, block_len = ensemble.coefficient_matrix(), frame.dim_subspace
     b = y.to_flat()
     radius = radius or 0.0
     if _norm(b) <= radius:  # c = 0 is feasible, so it is optimal
@@ -597,11 +597,10 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
         c, iters, converged = _group_socp(np.zeros(matrix.shape[1]), None, block_len, cfg,
                                           matrix, b, radius, ensemble.gram())
     else:
-        c0, basis = _equality_parametrization(ensemble, y, matrix, b, blockwise)
+        c0, basis = _equality_parametrization(ensemble, y, matrix, b)
         c, iters, converged = _group_socp(c0, basis, block_len, cfg)
     residual = max(0.0, float(np.linalg.norm(matrix @ c - b)) - radius)
-    blocks = c.reshape(ensemble.n, block_len)
-    x_hat = BlockVector(blocks) if blockwise else frame.expand(BlockVector(blocks))
+    x_hat = frame.expand(BlockVector(c.reshape(ensemble.n, block_len)))
     return SolveReport(
         x_hat=x_hat,
         objective=norm_l21(x_hat),
@@ -629,8 +628,12 @@ def solve_l1_noisy(ensemble: MeasurementEnsemble, y: BlockVector, eta: float,
 def solve_block_baseline(ensemble: MeasurementEnsemble, y: BlockVector,
                          config: Optional[SolverConfig] = None) -> SolveReport:
     """Block-sparsity baseline: same objective and measurements but blocks
-    range over all of R^d, with no subspace knowledge."""
-    return _solve(ensemble, y, config, blockwise=True)
+    range over all of R^d, with no subspace knowledge: the equality program
+    on the same matrix over the identity frame (every U_j = I_d)."""
+    d = ensemble.frame.dim_ambient
+    identity = FusionFrame(np.broadcast_to(np.eye(d), (ensemble.n, d, d)))
+    plain = MeasurementEnsemble(ensemble.matrix, ensemble.kind, identity, ensemble.seed)
+    return _solve(plain, y, config)
 
 
 def orthogonal_closed_form(ensemble: MeasurementEnsemble, y: BlockVector) -> BlockVector:

@@ -38,6 +38,61 @@ def test_frame_info_invalid_file(tmp_path):
     assert result.exit_code == 2
 
 
+_MALFORMED_FRAMES = {  # a frame document and the field its error names
+    "array": ([1, 2], "object"),
+    "N null": ({"N": None, "d": 2, "k": 1, "bases": [[1, 0]]}, "N"),
+    "N bool": ({"N": True, "d": 2, "k": 1, "bases": [[1, 0]]}, "N"),
+    "d float": ({"N": 1, "d": 2.5, "k": 1, "bases": [[1, 0]]}, "d"),
+    "k string": ({"N": 1, "d": 2, "k": "1", "bases": [[1, 0]]}, "k"),
+    "bases string": ({"N": 1, "d": 2, "k": 1, "bases": "10"}, "bases"),
+    "basis object": ({"N": 1, "d": 2, "k": 1, "bases": [{}]}, "bases"),
+    "weights object": ({"N": 1, "d": 2, "k": 1, "bases": [[1, 0]], "weights": {}}, "weights"),
+}
+
+
+@pytest.mark.parametrize("doc,field", _MALFORMED_FRAMES.values(), ids=_MALFORMED_FRAMES)
+@pytest.mark.parametrize("command", [("frame", "info", "{path}"),
+                                     ("solve", "--frame", "{path}", "-m", "2", "-s", "1")],
+                         ids=["frame info", "solve"])
+def test_malformed_frame_file_is_an_input_error(tmp_path, command, doc, field):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(doc))
+    result = run(*(arg.format(path=path) for arg in command))
+    assert result.exit_code == 2, result.output
+    assert "cannot load frame" in result.output and field in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("frame", "gen", "-n", "4", "-d", "2", "-k", "1", "--seed", "-3", "--out", "{out}"),
+    ("frame", "info", "{frame}", "-s", "1", "--support-seed", "-1"),
+    ("solve", "-n", "4", "-d", "2", "-k", "1", "-m", "2", "-s", "1", "--seed", "-1"),
+    ("solve", "-n", "4", "-d", "2", "-k", "1", "--frame-seed", "-2", "-m", "2", "-s", "1"),
+    ("bounds", "-n", "4", "-d", "2", "-k", "1", "-s", "1", "--support-seed", "-1"),
+    ("certificate", "-n", "4", "-d", "2", "-k", "1", "-m", "2", "-s", "1", "--seed", "-1"),
+    ("experiment", "phase_transition", "--spec", "{spec}", "--out", "{out}", "--base-seed", "-1"),
+], ids=["frame gen", "frame info", "solve", "frame-seed", "bounds", "certificate",
+        "experiment"])
+def test_negative_seed_is_an_input_error(tmp_path, args):
+    frame, spec, out = tmp_path / "frame.json", tmp_path / "spec.json", tmp_path / "out.csv"
+    assert run("frame", "gen", "-n", "4", "-d", "2", "-k", "1", "--out", str(frame)).exit_code == 0
+    spec.write_text(json.dumps({"name": "phase_transition", "N": 8, "d": 3, "k": 1,
+                                "s_list": [1], "m_list": [2], "trials": 1}))
+    result = run(*(arg.format(frame=frame, spec=spec, out=out) for arg in args))
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
+
+
+def test_experiment_rejects_negative_base_seed_in_spec(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"name": "phase_transition", "N": 8, "d": 3, "k": 1,
+                                     "s_list": [1], "m_list": [2], "base_seed": -1}))
+    out = tmp_path / "o.csv"
+    result = run("experiment", "phase_transition", "--spec", str(spec_path), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert "base_seed" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["bases", "weights"])
 def test_frame_info_rejects_non_finite_frame(tmp_path, field):
     path = tmp_path / "frame.json"

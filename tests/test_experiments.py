@@ -21,6 +21,7 @@ from ffsparse import (
 from ffsparse.experiments import AUDIT_COLUMNS, TRIAL_COLUMNS, validate_spec
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def tiny_spec(**overrides):
@@ -67,6 +68,13 @@ def test_validate_rejects_bad_trials_and_kind():
         validate_spec(tiny_spec(trials=0))
     with pytest.raises(SpecValidationError):
         validate_spec(tiny_spec(kind="uniform"))
+
+
+def test_validate_rejects_negative_base_seed():
+    # a negative base seed gives negative trial seeds, which default_rng rejects
+    with pytest.raises(SpecValidationError, match="base_seed"):
+        validate_spec(tiny_spec(base_seed=-1))
+    validate_spec(tiny_spec(base_seed=0))
 
 
 def test_validate_infeasible_dimensions():
@@ -205,6 +213,27 @@ def test_ff_vs_block_full_subspaces_agree():
         outcomes.setdefault((row.cell_index, row.trial_index), {})[row.program] = row.success
     for pair in outcomes.values():
         assert pair["FF"] == pair["block"]
+
+
+def test_ff_vs_block_matches_frozen_reference():
+    # desk_ff_vs_block at 4 trials against per-trial rows frozen at commit
+    # 2b7789e, while the block baseline still ran on its own blockwise
+    # operator: equal success labels, objectives within 1e-9 relative.
+    # Iterations are only reported, since another BLAS may take one step
+    # more or fewer.
+    ref = json.loads((DATA_DIR / "desk_ff_vs_block_reference.json").read_text())
+    spec = spec_from_json((SPECS_DIR / "desk_ff_vs_block.json").read_text())
+    spec.trials = ref["trials"]
+    rows = run_experiment(spec).rows
+    assert [(r.seed, r.program) for r in rows] == [tuple(row[:2]) for row in ref["rows"]]
+    moved = [
+        f"seed {seed} {program}: success {row.success} (reference {success}), "
+        f"objective {row.objective!r} ({objective!r}), "
+        f"iterations {row.iterations} ({iterations})"
+        for row, (seed, program, success, objective, iterations) in zip(rows, ref["rows"])
+        if row.success != success or not abs(row.objective - objective) <= 1e-9 * abs(objective)
+    ]
+    assert not moved, "\n".join(moved)
 
 
 # -- incoherence trend ------------------------------------------------------------------

@@ -326,6 +326,12 @@ def test_l1_objective_matches_oracle_on_tiny_instances():
 
 # -- feasible-set parametrization ----------------------------------------------------------
 
+def _distinct_subspaces():
+    """An ensemble whose two subspaces differ, so that a matrix passed with
+    it to _equality_parametrization takes the route of its own shape."""
+    return draw_matrix("gaussian", 1, 2, seed=0, frame=random_frame(2, 2, 1, seed=0))
+
+
 @pytest.mark.parametrize("shape,duplicate",
                          [((6, 15), 0), ((20, 8), 0), ((12, 9), 4), ((10, 15), 3)])
 def test_affine_step_matches_pinv_projection(shape, duplicate):
@@ -348,7 +354,7 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
     svd = _affine_parametrization(matrix, b)
     results = [svd]
     if rows < cols:
-        results.append(_equality_parametrization(None, None, matrix, b, False))
+        results.append(_equality_parametrization(_distinct_subspaces(), None, matrix, b))
         qr = _qr_parametrization(matrix, b)
         if duplicate:
             assert qr is None
@@ -376,7 +382,7 @@ def test_ill_conditioned_wide_equality_falls_back_to_the_svd():
     b = rng.standard_normal(8)
     r1 = np.linalg.qr(matrix.T)[1]
     assert scipy.linalg.get_lapack_funcs("trcon", (r1,))(r1)[0] < 1e-8
-    c0, basis = _equality_parametrization(None, None, matrix, b, False)
+    c0, basis = _equality_parametrization(_distinct_subspaces(), None, matrix, b)
     c_ref, basis_ref = _affine_parametrization(matrix, b)
     assert basis.shape == (15, 7)
     assert np.array_equal(c0, c_ref) and np.array_equal(basis, basis_ref)
@@ -391,7 +397,7 @@ def test_tall_equality_takes_the_gram_route():
     y = e.measure(sparse_signal(fr, random_support(20, 3, rng), rng))
     matrix, b = e.coefficient_matrix(), y.to_flat()
     assert matrix.shape == (150, 40)
-    c0, basis = _equality_parametrization(e, y, matrix, b, False)
+    c0, basis = _equality_parametrization(e, y, matrix, b)
     assert basis.shape == (40, 0)
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -418,7 +424,7 @@ def test_rank_deficient_tall_equality_falls_back_to_the_svd():
     from ffsparse.solver import _equality_parametrization
 
     e, y, matrix, b = _twin_block_ensemble(0.0)
-    c0, basis = _equality_parametrization(e, y, matrix, b, False)
+    c0, basis = _equality_parametrization(e, y, matrix, b)
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
     assert basis.shape == (12, 2)
@@ -438,22 +444,47 @@ def test_ill_conditioned_tall_equality_falls_back_to_the_svd():
 
     e, y, matrix, b = _twin_block_ensemble(1e-5)
     assert scipy.linalg.get_lapack_funcs("potrf", (e.gram(),))(e.gram())[1] == 0
-    c0, basis = _equality_parametrization(e, y, matrix, b, False)
+    c0, basis = _equality_parametrization(e, y, matrix, b)
     assert np.array_equal(c0, _affine_parametrization(matrix, b)[0])
     assert basis.shape == (12, 0)
 
 
-@pytest.mark.parametrize("m", [4, 9])
-def test_baseline_parametrization_matches_dense_svd(m):
-    # B = null(A) kron I_d spans the null space of the blockwise matrix
-    from ffsparse.solver import _affine_parametrization, _equality_parametrization
+def _one_subspace_frame(name, d=3):
+    """Seven copies of one basis U, or (``N=1``) a random frame with one
+    subspace."""
+    from ffsparse import FusionFrame
 
-    fr = random_frame(7, 3, 1, seed=71)
-    e = draw_matrix("bernoulli", m, 7, seed=72, frame=fr)
+    if name == "N=1":
+        return random_frame(1, d, 2, seed=74)
+    if name == "identity":
+        u = np.eye(d)
+    elif name == "rotation":
+        u = np.linalg.qr(np.random.default_rng(75).standard_normal((d, d)))[0]
+    else:  # "k=1", "k=2": a random d x k basis
+        u = random_frame(1, d, int(name[2:]), seed=76).basis(0)
+    return FusionFrame(np.broadcast_to(u, (7,) + u.shape))
+
+
+@pytest.mark.parametrize("m", [2, 4, 9])
+@pytest.mark.parametrize("name", ["k=1", "k=2", "identity", "rotation", "N=1"])
+def test_baseline_parametrization_matches_dense_svd(name, m, monkeypatch):
+    # every subspace has the basis U, so M = scale (A kron U) and the one
+    # SVD, of the m x N matrix scale A, gives pinv(M) b and B = null(A) kron
+    # I_k.  At N = 7, m = 2 makes M wide, m = 9 makes A (and M) tall, and
+    # m = 4 makes A wide but, at k = 1, M tall and rank-deficient; the N = 1
+    # frame is tall at every m
+    from ffsparse import solver
+
+    fr = _one_subspace_frame(name)
+    e = draw_matrix("bernoulli", m, fr.n_subspaces, seed=72, frame=fr)
     y = BlockVector(np.random.default_rng(73).standard_normal((m, 3)))
-    matrix, b = e.blockwise_matrix(), y.to_flat()
-    c0, basis = _equality_parametrization(e, y, matrix, b, True)
-    c_ref, basis_ref = _affine_parametrization(matrix, b)
+    matrix, b = e.coefficient_matrix(), y.to_flat()
+    svd, shapes = solver._affine_parametrization, []
+    monkeypatch.setattr(solver, "_affine_parametrization",
+                        lambda mat, rhs: shapes.append(mat.shape) or svd(mat, rhs))
+    c0, basis = solver._equality_parametrization(e, y, matrix, b)
+    assert shapes == [(m, fr.n_subspaces)]
+    c_ref, basis_ref = svd(matrix, b)
     assert np.abs(c0 - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
     assert basis.shape == basis_ref.shape
     assert np.abs(basis @ basis.T - basis_ref @ basis_ref.T).max(initial=0.0) <= 1e-12
