@@ -13,60 +13,48 @@ Vandenberghe, Boyd & Lebret 1998; Vandenberghe 2010, "The CVXOPT linear and
 quadratic cone program solvers").  The feasible set is written as
 c = c0 + B w:
 
-- equality program (M c = b): one SVD of M gives c0 = pinv(M) b (with
-  np.linalg.pinv's rank cutoff) and an orthonormal basis B of the null space
-  of M, so every iterate satisfies M c = b as exactly as c0 does.  With an
-  empty null space c0 is the only feasible point and no iteration runs.
-  Three routes skip the SVD of M.  A tall coefficient matrix (m d >= N k)
-  takes c0 from a Cholesky factor of its Gram M^T M (``ensemble.gram()``,
-  assembled from A^T A and the frame's cross-Gram) and M^T b, with one step
-  of iterative refinement on the residual b - M c0 and B empty; the factor
-  is used only when it exists and LAPACK's reciprocal condition estimate of
-  the Gram is at least 1e-8, since the Gram squares the condition number of
-  M (Bjorck 1996, "Numerical Methods for Least Squares Problems").  A wide
-  one takes a complete Householder QR M^T = [Q1 Q2] [R1; 0]: c0 = Q1 R1^-T b
-  and B = Q2, used only when LAPACK's reciprocal condition estimate of R1
-  (that of M) is at least 1e-8, since QR without pivoting does not reveal
-  the rank.  Otherwise, rank-deficient operators included, the SVD runs as
-  above.  Ahead of both, when every subspace has the same basis U,
-  M = scale (A kron U) and one SVD of the m x N matrix scale A gives
-  c0 = vec(pinv(scale A) Y U) and B = null(A) kron I_k, with M's nonzero
-  singular values and so its rank cutoff.  The block baseline, the equality
-  program over the identity frame (U_j = I_d), takes this route;
+- equality program (M c = b): c0 = pinv(M) b and an orthonormal basis B of
+  the null space of M, so every iterate satisfies M c = b as exactly as c0
+  does; with an empty null space no iteration runs.  When every subspace
+  has the same basis U, M = scale (A kron U) and one SVD of scale A gives
+  both, with M's rank cutoff; the block baseline, the equality program over
+  the identity frame (U_j = I_d), takes this route and never builds M.
+  Otherwise a tall M (m d >= N k) takes c0 from a Cholesky factor of its
+  Gram and B empty, and a wide one a Householder QR M^T = Q [R1; 0] whose
+  reflectors, applied to [R1^-T b, 0; 0, I], give c0 and B without forming
+  Q; each factor is used only when LAPACK's reciprocal condition estimate
+  of it is at least 1e-8 (Bjorck 1996, "Numerical Methods for Least Squares
+  Problems").  Otherwise, rank-deficient operators included, one SVD of M
+  gives c0 and B with np.linalg.pinv's rank cutoff;
 - ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
   of the residual ball, whose Newton matrices read M^T M from
-  ``ensemble.gram()``.  Radius 0 is the equality program.
+  ``ensemble.gram()``.  Radius 0 is the equality program.  A converged
+  solve ends with Newton steps on the optimality conditions over its
+  active groups (``_polish_ball``).
 
 When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
 
 Each Newton step eliminates every group's epigraph variable t_j in closed
 form and factors one symmetric positive definite q x q matrix (q = columns
-of B), B^T D B plus M^T E M for the ball, with one Cholesky; the ball's is
-written in one pass into a buffer allocated once per solve.  Of its two
-solves, the predictor only sets the step length and the second-order term
-and goes unrefined; the corrector gets one step of iterative refinement.
-A solve has converged when the primal residual relative to the norm of the
-cone constraints' constant part is at most tol_primal, and the dual
-residual relative to the norm of the objective vector and the duality gap
-relative to the primal objective are at most tol_dual.  ``iterations``
+of B), B^T D B plus M^T E M for the ball, in place with one Cholesky; a
+failed factorization rebuilds the matrix and retries with its diagonal
+shifted.  Of its two solves, the predictor only sets the step length and
+the second-order term and goes unrefined; the corrector gets one step of
+iterative refinement only after that shift or when the factor's diagonal
+spreads by 1e4 or more: then kappa >= 1e8 and kappa eps reaches the 1e-9
+tolerances (Higham 2002, "Accuracy and Stability of Numerical Algorithms",
+ch. 12).  A solve has converged when the primal residual relative to the
+norm of the cone constraints' constant part is at most tol_primal, and the
+dual residual relative to the norm of the objective vector and the duality
+gap relative to the primal objective are at most tol_dual.  ``iterations``
 counts these interior-point steps.  A failed Cholesky factorization or a
 non-finite step ends the solve with the last finite iterate and
 converged=False.
 
-Every Cholesky factor here is potrf(a.T, lower=1) with potrs(..., lower=1):
-the upper triangle of the C-ordered matrix, read as the lower triangle of
-its F-ordered transpose, because single-threaded OpenBLAS 0.3.31 factors
-that triangle faster (124 against 176 us at n = 200, 38 against 55 us at
-n = 120 on a 2-vCPU KVM guest).  What the step lengths and W^-1 need of the
-current point is computed once per step, and scipy.linalg is imported at
-the first factorization, so ``import ffsparse`` does not load scipy.
-
-Along the curved boundary of the ball an interior-point iterate lies only
-about sqrt(gap) from the minimizer, so a converged ball solve ends with a
-few Newton steps on the optimality conditions over its active groups, whose
-result is kept only when it meets every one of them; when it does not, the
-steps are retried once on the active set read from the iterate's dual
-scores.
+Every Cholesky factor here is potrf(a.T, lower=1) with potrs(..., lower=1),
+the triangle that single-threaded OpenBLAS factors faster (see README), and
+scipy.linalg is imported at the first factorization, so ``import ffsparse``
+does not load scipy.
 """
 
 from __future__ import annotations
@@ -177,34 +165,42 @@ def _gram_solution(gram: np.ndarray, rhs: np.ndarray, matrix: np.ndarray,
 
 
 def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
-    """(c0, B) for a wide M of full row rank, from a complete Householder QR
-    M^T = [Q1 Q2] [R1; 0]: M = R1^T Q1^T, so c0 = Q1 R1^-T b = pinv(M) b and
-    B = Q2 spans the null space.  None when LAPACK's reciprocal condition
-    estimate of R1 (that of M) is below _MIN_RCOND, rank-deficient M
-    included."""
+    """(c0, B) for a wide M of full row rank, from a Householder QR M^T =
+    Q [R1; 0]: M = R1^T Q1^T, so c0 = Q [R1^-T b; 0] = pinv(M) b and B =
+    Q [0; I] spans the null space, both from one application of the
+    reflectors.  None when LAPACK's reciprocal condition estimate of R1
+    (that of M) is below _MIN_RCOND, rank-deficient M included."""
     import scipy.linalg
 
-    rows = matrix.shape[0]
-    q, r = np.linalg.qr(matrix.T, mode="complete")
-    trcon, trtrs = scipy.linalg.get_lapack_funcs(("trcon", "trtrs"), (r,))
-    r1 = r[:rows]
+    rows, cols = matrix.shape
+    geqrf, ormqr, trcon, trtrs = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "ormqr", "trcon", "trtrs"), (matrix,))
+    qr, tau = geqrf(matrix.T, lwork=int(geqrf(matrix.T, lwork=-1)[2][0]))[:2]
+    r1 = qr[:rows]
     rcond, info = trcon(r1)
     if info != 0 or not rcond >= _MIN_RCOND:
         return None
-    return q[:, :rows] @ trtrs(r1, b, trans=1)[0], np.ascontiguousarray(q[:, rows:])
+    coords = np.zeros((cols, cols - rows + 1), order="F")  # [c0, B] in the basis Q
+    coords[:rows, 0] = trtrs(r1, b, trans=1)[0]
+    coords[rows:, 1:] = np.eye(cols - rows)
+    lwork = int(ormqr("L", "N", qr, tau, coords, -1)[1][0])
+    c0_basis = ormqr("L", "N", qr, tau, coords, lwork, overwrite_c=1)[0]
+    return c0_basis[:, 0], np.ascontiguousarray(c0_basis[:, 1:])
 
 
 def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
-                              matrix: np.ndarray, b: np.ndarray):
-    """(c0, B) of the equality program's feasible set, without the SVD of
-    the dense matrix where its structure allows: from the SVD of scale A
-    when all subspaces share one basis (the block baseline's identity frame
-    included), from the guarded Gram route for a tall coefficient matrix,
-    from the guarded QR route for a wide one, and from the SVD of M otherwise."""
+                              matrix: Optional[np.ndarray], b: np.ndarray):
+    """(c0, B) of the equality program's feasible set by the first route
+    that applies: the SVD of scale A when all subspaces share one basis, the
+    guarded Gram route for a tall coefficient matrix M, the guarded QR route
+    for a wide one, and the SVD of M.  A ``matrix`` of None is the
+    ensemble's M, built only when a route after the first needs it."""
     bases = ensemble.frame.bases
     if (bases == bases[0]).all():
         c0, null = _affine_parametrization(ensemble.scale * ensemble.matrix, y.blocks @ bases[0])
         return c0.ravel(), np.kron(null, np.eye(bases.shape[2]))
+    if matrix is None:
+        matrix = ensemble.coefficient_matrix()
     if matrix.shape[0] >= matrix.shape[1]:
         c0 = _gram_solution(ensemble.gram(), ensemble.coefficient_adjoint(y), matrix, b)
         if c0 is not None:
@@ -277,10 +273,11 @@ class _Cones:
         return to_boundary
 
 
-# Mehrotra's centering exponent and the share of the step to the cone
-# boundary that is taken
+# Mehrotra's centering exponent, the share of the step to the boundary taken,
+# and the factor spread max L_ii / min L_ii from which the corrector is refined
 _CENTERING_EXPONENT = 3
 _STEP_SHARE = 0.99
+_REFINE_SPREAD = 1e4
 
 
 def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
@@ -410,62 +407,69 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         if ball:  # B = I: M^T W_ball^-2 M = (M^T M + 2 g g^T) / beta^2 plus the D_j blocks
             blocks = (-2.0 / (norm2 * bg2))[:, None, None] * (w1[:, :, None] * w1[:, None, :])
             blocks += np.eye(k) / bg2[:, None, None]
-            hess = newton_matrix(gram, mt @ wb[ng + 1:], beta[-1] ** 2, blocks)
+            g = mt @ wb[ng + 1:]
         else:
             b3 = basis.reshape(n_groups, k, q)
             a = 2.0 / (np.sqrt(norm2) * (np.sqrt(norm2) + 1.0))
             sbasis = (b3 - (a[:, None] * w1)[:, :, None] * (w1[:, None, :] @ b3)) \
                 / beta[:n_groups, None, None]
             sbasis = sbasis.reshape(n, q)
-            hess = sbasis.T @ sbasis
-        chol, info = potrf(hess.T, lower=1, clean=0)
-        if info != 0:
+
+        def build():
+            return newton_matrix(gram, g, beta[-1] ** 2, blocks) if ball else sbasis.T @ sbasis
+
+        chol, info = potrf(build().T, lower=1, clean=0, overwrite_a=1)
+        shifted = info != 0
+        if shifted:
             # near the optimum the scales of D_j drift apart until rounding
-            # makes the matrix indefinite: shift its diagonal by the size of
-            # that rounding and leave the rest to the refinement step
+            # makes the matrix indefinite: rebuild it, shift its diagonal by
+            # the size of that rounding and leave the rest to the refinement
+            hess = build()
             hess.flat[:: q + 1] += q * np.finfo(float).eps * hess.diagonal().max()
-            chol, info = potrf(hess.T, lower=1, clean=0)
+            chol, info = potrf(hess.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             break
+        diagonal = chol.diagonal()
+        refine = shifted or diagonal.max() >= _REFINE_SPREAD * diagonal.min()
 
         def solve_reduced(rhs_w, rhs_t, r_z=None):
-            """(dw, dt, W^-1 ds) from the right-hand sides of the reduced
-            system, with ds = -G dx - r_z (-G dx when r_z is None)."""
+            """(dw, dt, W^-1 ds, -G dx) from the right-hand sides of the
+            reduced system, with ds = -G dx - r_z (-G dx when r_z is None)."""
             rhs_c = (rho * rhs_t[:, None]).ravel()
             rhs_w = rhs_w - (rhs_c if basis is None else basis.T @ rhs_c)
             dw = potrs(chol, rhs_w, lower=1)[0]
             dc = expand(dw)
             dt = rhs_t / q00 - np.add.reduce(rho * dc.reshape(n_groups, k), axis=1)
             lifted = lift(dc, dt)
-            return dw, dt, unscale(lifted if r_z is None else lifted - r_z)
+            return dw, dt, unscale(lifted if r_z is None else lifted - r_z), lifted
 
-        def newton(r_z, r_w, r_t, xi):
-            """One Newton solve, returned as (dw, dt, W^-1 ds, W dz)."""
-            uw, ut = lift_t(unscale(unscale(r_z) + xi))
-            dw, dt, ds = solve_reduced(uw - r_w, ut - r_t, r_z)
-            return dw, dt, ds, xi - ds
-
-        def refined(r_z, r_w, r_t, xi):
-            """newton() plus one step of iterative refinement on G^T dz = -r_x,
+        def newton(r_z, r_w, r_t, xi, refine=False):
+            """One Newton solve, returned as (dw, dt, W^-1 ds, W dz, -G dx),
+            with ``refine`` one step of iterative refinement on G^T dz = -r_x,
             whose residuals r_z and xi are zero, so it enters after the lift."""
-            dw, dt, ds, dz = newton(r_z, r_w, r_t, xi)
+            uw, ut = lift_t(unscale(unscale(r_z) + xi))
+            dw, dt, ds, lifted = solve_reduced(uw - r_w, ut - r_t, r_z)
+            dz = xi - ds
+            if not refine:
+                return dw, dt, ds, dz, lifted
             gw, gt = lift_t(unscale(dz))
-            cw, ct, cs = solve_reduced(gw - r_w, gt - r_t)
-            return dw + cw, dt + ct, ds + cs, dz - cs
+            cw, ct, cs, c_lifted = solve_reduced(gw - r_w, gt - r_t)
+            return dw + cw, dt + ct, ds + cs, dz - cs, lifted + c_lifted
 
         # the predictor only sets the step length, hence sigma, and the
-        # second-order term, so it goes unrefined; the residuals are
-        # recomputed from the iterate at every step
-        _, _, ds_a, dz_a = newton(r_z, r_w, r_t, -lam)
+        # second-order term, so it goes unrefined, and so does the corrector
+        # unless the factor may be inaccurate; the residuals are recomputed
+        # from the iterate at every step
+        _, _, ds_a, dz_a, _ = newton(r_z, r_w, r_t, -lam)
         step = min(1.0, max_step(ds_a), max_step(dz_a))
         sigma = (1.0 - step) ** _CENTERING_EXPONENT
         mu = gap / n_cones
         xi = cones.inverse_circ(lam, sigma * mu * e - cones.circ(ds_a, dz_a)) - lam
-        dw, dt, ds, dz = refined(r_z, r_w, r_t, xi)
+        dw, dt, ds, dz, lifted = newton(r_z, r_w, r_t, xi, refine)
         step = min(1.0, _STEP_SHARE * min(max_step(ds), max_step(dz)))
         w_new = w + step * dw
         t_new = t + step * dt
-        s_new = s + step * (lift(expand(dw), dt) - r_z)
+        s_new = s + step * (lifted - r_z)
         z_new = z + step * unscale(dz)
         if not (np.isfinite(w_new).all() and np.isfinite(s_new).all()
                 and np.isfinite(z_new).all() and np.isfinite(t_new).all()):
@@ -480,15 +484,13 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
 
 
 def _ball_newton_matrix(n_groups: int, k: int):
-    """The writer of the ball program's Newton matrix, with its C-ordered
-    n x n buffer (n = n_groups k), BLAS syr and a strided view of the
-    buffer's diagonal blocks set up once per solve.  write(gram, g, beta2,
-    blocks) puts D + (M^T M + 2 g g^T) / beta2 into the upper triangle of
-    the buffer (the triangle that potrf(out.T, lower=1) factors), with D the
-    block diagonal of the (n_groups, k, k) ``blocks``, and returns the
-    buffer: one pass writes gram / beta2, syr adds the rank-one term on that
-    triangle, and the view adds D.  The strict lower triangle holds
-    gram / beta2 only."""
+    """The writer of the ball program's Newton matrix into a C-ordered n x n
+    buffer (n = n_groups k) allocated once per solve.  write(gram, g, beta2,
+    blocks) puts D + (M^T M + 2 g g^T) / beta2, D the block diagonal of the
+    (n_groups, k, k) ``blocks``, into the buffer's upper triangle (the one
+    potrf(out.T, lower=1) factors) and returns the buffer: one pass writes
+    gram / beta2, BLAS syr adds the rank-one term and a strided view of the
+    diagonal blocks adds D."""
     import scipy.linalg
 
     n = n_groups * k
@@ -582,29 +584,28 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
            radius: Optional[float] = None) -> SolveReport:
     """Check and time one solve, run the equality program (the ball program
     when a positive ``radius`` is given) on the coefficient matrix and
-    report it.  The block baseline is this equality program over the
-    identity frame."""
+    report it, with the residual of the expanded estimate, scale A X - Y.
+    The block baseline is this equality program over the identity frame."""
     cfg = config or SolverConfig()
     ensemble.check_measurements(y)
     t0 = time.perf_counter()
-    frame = ensemble.frame
-    matrix, block_len = ensemble.coefficient_matrix(), frame.dim_subspace
-    b = y.to_flat()
+    frame, block_len = ensemble.frame, ensemble.frame.dim_subspace
+    size, b = ensemble.n * block_len, y.to_flat()
     radius = radius or 0.0
     if _norm(b) <= radius:  # c = 0 is feasible, so it is optimal
-        c, iters, converged = np.zeros(matrix.shape[1]), 0, True
+        c, iters, converged = np.zeros(size), 0, True
     elif radius > 0.0:
-        c, iters, converged = _group_socp(np.zeros(matrix.shape[1]), None, block_len, cfg,
-                                          matrix, b, radius, ensemble.gram())
+        c, iters, converged = _group_socp(np.zeros(size), None, block_len, cfg,
+                                          ensemble.coefficient_matrix(), b, radius, ensemble.gram())
     else:
-        c0, basis = _equality_parametrization(ensemble, y, matrix, b)
+        c0, basis = _equality_parametrization(ensemble, y, None, b)
         c, iters, converged = _group_socp(c0, basis, block_len, cfg)
-    residual = max(0.0, float(np.linalg.norm(matrix @ c - b)) - radius)
     x_hat = frame.expand(BlockVector(c.reshape(ensemble.n, block_len)))
+    misfit = ensemble.scale * (ensemble.matrix @ x_hat.blocks) - y.blocks
     return SolveReport(
         x_hat=x_hat,
         objective=norm_l21(x_hat),
-        constraint_residual=residual,
+        constraint_residual=max(0.0, float(np.linalg.norm(misfit)) - radius),
         iterations=iters,
         converged=converged,
         wall_time=time.perf_counter() - t0,

@@ -285,9 +285,9 @@ def test_oracle_zero_measurements():
 def test_oracle_infeasible_returns_none():
     fr = orthogonal_frame(4, 1)  # d = 4
     e = draw_matrix("bernoulli", 1, 4, seed=39, frame=fr)
-    # a measurement outside the span of any single subspace
+    # a ones block on 4 orthogonal lines lies on none of them
     y = BlockVector(np.ones((1, 4)))
-    assert solve_l0_oracle(e, y, max_s=0 + 1) is None or True  # size-1 fits may exist
+    assert solve_l0_oracle(e, y, max_s=1) is None
     # orthogonal lines: a two-direction mixture cannot be 1-sparse
     y2 = BlockVector(np.array([[1.0, 1.0, 0.0, 0.0]]))
     assert solve_l0_oracle(e, y2, max_s=1) is None
@@ -367,6 +367,29 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
         assert np.abs(matrix @ basis).max(initial=0.0) <= 1e-12
         assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
         assert np.abs(c0 + basis @ (basis.T @ v) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(5, 6), "desk_noisy"])
+def test_qr_route_from_reflectors(shape):
+    # q = 1, and the 192 x 200 coefficient matrix of the desk_noisy benchmark
+    # (N = 100, d = 12, k = 2, m = 16, Gaussian): c0 and B come from applying
+    # the reflectors of geqrf(M^T) to [R1^-T b, 0; 0, I_q]
+    from ffsparse.solver import _qr_parametrization
+
+    rng = np.random.default_rng(79)
+    if shape == "desk_noisy":
+        fr = random_frame(100, 12, 2, seed=80)
+        matrix = draw_matrix("gaussian", 16, 100, seed=81, frame=fr).coefficient_matrix()
+    else:
+        matrix = rng.standard_normal(shape)
+    rows, cols = matrix.shape
+    b = rng.standard_normal(rows)
+    c0, basis = _qr_parametrization(matrix, b)
+    expected = np.linalg.pinv(matrix) @ b
+    assert basis.shape == (cols, cols - rows) and basis.flags.c_contiguous
+    assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(matrix @ basis).max() <= 1e-12 * np.abs(matrix).max()
+    assert np.abs(basis.T @ basis - np.eye(cols - rows)).max() <= 1e-12
 
 
 def test_ill_conditioned_wide_equality_falls_back_to_the_svd():
@@ -620,6 +643,61 @@ def test_ball_solve_recovers_from_failed_factorizations(monkeypatch):
     assert abs(report.objective - expected.objective) <= 1e-8 * expected.objective
 
 
+def _factor_steps(monkeypatch):
+    """Record the Newton factorizations of every later solve: a list, one
+    entry per interior-point step (the ball start's factor included), of
+    [max L_ii / min L_ii of the factor used, whether a diagonal-shift
+    retry made it, number of solves with it]."""
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+    steps = []
+
+    def counting_funcs(names, arrays=()):
+        funcs = real(names, arrays)
+        if names != ("potrf", "potrs"):
+            return funcs
+        potrf, potrs = funcs
+
+        def counting_potrf(a, **kwargs):
+            chol, info = potrf(a, **kwargs)
+            diagonal = chol.diagonal()
+            entry = [diagonal.max() / diagonal.min(), False, 0]
+            if steps and steps[-1][2] == 0:  # a retry within the same step
+                steps[-1][:2] = [entry[0], True]
+            else:
+                steps.append(entry)
+            return chol, info
+
+        def counting_potrs(*args, **kwargs):
+            steps[-1][2] += 1
+            return potrs(*args, **kwargs)
+
+        return counting_potrf, counting_potrs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_funcs)
+    return steps
+
+
+def test_corrector_is_refined_only_for_a_wide_factor_diagonal(monkeypatch):
+    # every step solves twice with its factor, the predictor and the
+    # corrector, and a third time to refine the corrector when the factor's
+    # diagonal spreads by 1e4 or more (kappa >= 1e8) or a shift made it.
+    # The block-baseline solve of desk_ff_vs_block trial seed 1000041 has
+    # steps on both sides of the gate
+    steps = _factor_steps(monkeypatch)
+    e, y, cfg = _ff_vs_block_instance(41)
+    report = solve_block_baseline(e, y, cfg)
+    assert len(steps) == report.iterations
+    _, e, _, sample = _noisy_instance(10, 3)
+    report = solve_l1_noisy(e, sample.y, 0.03)
+    assert len(steps) == 13 + 1 + report.iterations
+    assert steps.pop(13)[2] == 1  # the ball start: one solve
+    assert all(solves == 2 + (shifted or spread >= 1e4) for spread, shifted, solves in steps)
+    assert sum(solves == 3 for *_, solves in steps) >= 2
+    assert sum(solves == 2 for *_, solves in steps) >= 2
+
+
 def _assert_ball_optimal(matrix, b, radius, c, active):
     """Optimality of c, independent of the solver, to 1e-8: 0 lies outside
     the ball, so the residual r sits on its boundary, and g_j = M_j^T r is
@@ -695,6 +773,34 @@ def _ff_vs_block_instance(trial):
     x = _cell_signal(spec, cell, frame)
     e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame)
     return e, e.measure(x), SolverConfig()
+
+
+def test_block_baseline_converges_on_an_ill_conditioned_trial():
+    # trial seed 1000041: its last Newton factors are well conditioned
+    # enough to need no diagonal shift, but spread their diagonals past
+    # 1e4, and refining the corrector only after a shift left this
+    # block-baseline solve unconverged after 16 steps
+    e, y, cfg = _ff_vs_block_instance(41)
+    report = solve_block_baseline(e, y, cfg)
+    assert report.converged and report.iterations < cfg.max_iter
+    assert report.constraint_residual <= 1e-12
+
+
+def test_block_baseline_never_builds_the_coefficient_matrix(monkeypatch):
+    # the baseline takes the identical-subspace route, and its residual is
+    # scale A X - Y of the estimate X
+    e, y, cfg = _ff_vs_block_instance(3)
+
+    def unbuilt(self):
+        raise AssertionError("coefficient_matrix built")
+
+    monkeypatch.setattr(MeasurementEnsemble, "coefficient_matrix", unbuilt)
+    report = solve_block_baseline(e, y, cfg)
+    monkeypatch.undo()
+    dense = np.kron(e.scale * e.matrix, np.eye(3))
+    assert report.converged
+    assert abs(report.constraint_residual
+               - np.linalg.norm(dense @ report.x_hat.to_flat() - y.to_flat())) <= 1e-14
 
 
 def test_penalty_cycle_reproducer_converges():
