@@ -68,7 +68,6 @@ from .solver import (
     orthogonal_closed_form,
     relative_error,
     solve_block_baseline,
-    solve_l0_oracle,
     solve_l1_equality,
     solve_l1_noisy,
 )

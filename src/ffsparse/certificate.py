@@ -181,8 +181,8 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
 
     ``support`` defaults to the nonzero blocks of ``x``; pass the index set
     of the s largest blocks explicitly when certifying a compressible signal.
-    Verifies the step recursion and the telescoping identity to 1e-9 as it
-    goes; both are exact up to roundoff by construction.
+    Verifies the step recursion to 1e-9 at every step: the residual taken
+    from the assembled u agrees with the one-step update up to roundoff.
     """
     frame = ensemble.frame
     norms = x.block_norms()
@@ -215,7 +215,6 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
 
     u_coeff = np.zeros(frame.n_subspaces * k)
     w = sgn_coeff.copy()
-    w_history = [w.copy()]
     res_l2 = [float(np.linalg.norm(w))]
     res_l2inf = [float(np.linalg.norm(w.reshape(-1, k), axis=1).max())]
     h_rows = np.zeros((m, d))
@@ -235,21 +234,9 @@ def golfing_build(ensemble: MeasurementEnsemble, x: BlockVector,
             raise RuntimeError("golfing step recursion violated beyond 1e-9")
         h_rows[offset : offset + m_n] = factor * image.reshape(m_n, d)
         w = w_next
-        w_history.append(w.copy())
         res_l2.append(float(np.linalg.norm(w)))
         res_l2inf.append(float(np.linalg.norm(w.reshape(-1, k), axis=1).max()))
         offset += m_n
-
-    # telescoping identity: u equals the sum of the per-group contributions
-    u_tel = np.zeros_like(u_coeff)
-    offset = 0
-    for step, m_n in enumerate(sizes):
-        rows = slice(offset * d, (offset + m_n) * d)
-        group = matrix[rows]
-        u_tel += (m / m_n) * (group.T @ (group[:, cols] @ w_history[step]))
-        offset += m_n
-    if float(np.linalg.norm(u_tel - u_coeff)) > _IDENTITY_TOL:
-        raise RuntimeError("golfing telescoping identity violated beyond 1e-9")
 
     u = frame.expand(BlockVector(u_coeff.reshape(-1, k)))
     h = BlockVector(h_rows)

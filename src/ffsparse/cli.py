@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import json
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -77,6 +78,7 @@ def frame_gen(n_subspaces, ambient_dim, subspace_dim, seed, out):
         fr = random_frame(n_subspaces, ambient_dim, subspace_dim, seed)
     except ValueError as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_frame(fr, out)
     click.echo(f"wrote frame N={n_subspaces} d={ambient_dim} k={subspace_dim} to {out}")
 
@@ -158,8 +160,8 @@ def _emit_json(doc: dict, out) -> None:
     text = json.dumps(doc, indent=2)
     click.echo(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _check_sizes(fr, sparsity: int, measurements: int = 1) -> None:

@@ -200,11 +200,11 @@ def random_frame(n_subspaces: int, dim_ambient: int, dim_subspace: int, seed: in
     """Draw a random fusion frame: per subspace, k standard Gaussian vectors
     in R^d orthonormalized by QR.  Deterministic given the seed.
 
-    The QR factor is sign-fixed (diagonal of R forced positive) so the bases
-    are reproducible across platforms.  All N draws are factored by one
-    stacked QR; a rank-deficient draw (a probability-zero event) is redrawn,
-    which shifts the random stream, so only then does the subspace-by-subspace
-    loop run again from the seed.  The bases are the loop's in every case.
+    All N draws are factored by one stacked Householder QR, whose Q is
+    orthonormal even for a rank-deficient draw (a probability-zero event).
+    Each Q is sign-fixed (columns flipped where the diagonal of R is
+    negative) so the bases are reproducible across platforms; they equal a
+    subspace-by-subspace loop's whenever no diagonal of R is exactly zero.
     """
     if not 1 <= dim_subspace <= dim_ambient:
         raise ValueError(f"need 1 <= k <= d, got k={dim_subspace}, d={dim_ambient}")
@@ -214,32 +214,7 @@ def random_frame(n_subspaces: int, dim_ambient: int, dim_subspace: int, seed: in
     g = rng.standard_normal((n_subspaces, dim_subspace, dim_ambient)).transpose(0, 2, 1)
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=1, axis2=2)
-    if _rank_deficient(diag).any():
-        return FusionFrame(_redrawn_bases(n_subspaces, dim_ambient, dim_subspace, seed),
-                           seed=seed)
-    return FusionFrame(q * np.sign(diag)[:, None, :], seed=seed)
-
-
-def _rank_deficient(diag: np.ndarray) -> np.ndarray:
-    """Per row of R diagonals, whether the QR factor's draw lacks full rank."""
-    size = np.abs(diag)
-    return size.min(axis=-1) <= 1e-12 * np.maximum(1.0, size.max(axis=-1))
-
-
-def _redrawn_bases(n_subspaces: int, dim_ambient: int, dim_subspace: int,
-                   seed: int) -> np.ndarray:
-    """random_frame's bases drawn subspace by subspace, redrawing each
-    rank-deficient draw."""
-    rng = np.random.default_rng(seed)
-    bases = np.empty((n_subspaces, dim_ambient, dim_subspace))
-    for j in range(n_subspaces):
-        while True:
-            q, r = np.linalg.qr(rng.standard_normal((dim_subspace, dim_ambient)).T)
-            diag = np.diag(r)
-            if not _rank_deficient(diag):
-                bases[j] = q * np.sign(diag)[None, :]
-                break
-    return bases
+    return FusionFrame(q * np.where(diag < 0, -1.0, 1.0)[:, None, :], seed=seed)
 
 
 def orthogonal_frame(n_subspaces: int, dim_subspace: int = 1) -> FusionFrame:

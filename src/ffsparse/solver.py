@@ -42,11 +42,11 @@ shifted.  Of its two solves, the predictor only sets the step length and
 the second-order term and goes unrefined; the corrector gets one step of
 iterative refinement only after that shift or when the factor's diagonal
 spreads by 1e4 or more: then kappa >= 1e8 and kappa eps reaches the 1e-9
-tolerances (Higham 2002, "Accuracy and Stability of Numerical Algorithms",
+tolerance (Higham 2002, "Accuracy and Stability of Numerical Algorithms",
 ch. 12).  A solve has converged when the primal residual relative to the
-norm of the cone constraints' constant part is at most tol_primal, and the
-dual residual relative to the norm of the objective vector and the duality
-gap relative to the primal objective are at most tol_dual.  ``iterations``
+norm of the cone constraints' constant part, the dual residual relative to
+the norm of the objective vector and the duality gap relative to the primal
+objective are all at most one tolerance, ``SolverConfig.tol``.  ``iterations``
 counts these interior-point steps.  A failed Cholesky factorization or a
 non-finite step ends the solve with the last finite iterate and
 converged=False.
@@ -59,7 +59,6 @@ does not load scipy.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -78,25 +77,23 @@ __all__ = [
     "solve_l1_noisy",
     "solve_block_baseline",
     "orthogonal_closed_form",
-    "solve_l0_oracle",
     "relative_error",
 ]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls: tol_primal bounds the relative primal residual,
-    tol_dual the relative dual residual and the relative duality gap."""
+    """Iteration controls: tol bounds the relative primal residual, the
+    relative dual residual and the relative duality gap."""
 
     max_iter: int = 100
-    tol_primal: float = 1e-9
-    tol_dual: float = 1e-9
+    tol: float = 1e-9
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.tol < math.inf:  # NaN fails
+            raise ValueError("tol must be a finite positive number")
 
 
 @dataclass
@@ -366,9 +363,9 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         zw, zt = lift_t(z)
         r_w, r_t = -zw, 1.0 - zt
         gap = float(s @ z)
-        if (_norm(r_z) <= cfg.tol_primal * h_norm
-                and math.hypot(_norm(r_w), _norm(r_t)) <= cfg.tol_dual * q_norm
-                and gap <= cfg.tol_dual * float(t.sum())):
+        if (_norm(r_z) <= cfg.tol * h_norm
+                and math.hypot(_norm(r_w), _norm(r_t)) <= cfg.tol * q_norm
+                and gap <= cfg.tol * float(t.sum())):
             converged = True
             break
         if it == cfg.max_iter:
@@ -656,41 +653,3 @@ def orthogonal_closed_form(ensemble: MeasurementEnsemble, y: BlockVector) -> Blo
         raise ValueError("measurement must be a single ambient block")
     projected = np.stack([frame.projector(j) @ y.block(0) for j in range(frame.n_subspaces)])
     return BlockVector(projected / coeffs[:, None])
-
-
-_ORACLE_MAX_N = 12
-_ORACLE_MAX_S = 3
-_ORACLE_RESIDUAL = 1e-8
-
-
-def solve_l0_oracle(ensemble: MeasurementEnsemble, y: BlockVector,
-                    max_s: int) -> Optional[BlockVector]:
-    """Exhaustive sparsest-solution search for tiny instances (test oracle).
-
-    Enumerates supports of size 0..max_s in lexicographic order, solves the
-    least-squares fit in coefficient space on each, and returns the first
-    consistent solution (residual <= 1e-8) of minimal support size.  Returns
-    None when no support fits.
-    """
-    if ensemble.n > _ORACLE_MAX_N or max_s > _ORACLE_MAX_S:
-        raise ValueError(
-            f"enumeration guard: need N <= {_ORACLE_MAX_N} and max_s <= {_ORACLE_MAX_S}"
-        )
-    ensemble.check_measurements(y)
-    matrix = ensemble.coefficient_matrix()
-    b = y.to_flat()
-    n, k = ensemble.n, ensemble.frame.dim_subspace
-
-    if float(np.linalg.norm(b)) <= _ORACLE_RESIDUAL:
-        return BlockVector.zeros(n, ensemble.frame.dim_ambient)
-
-    for size in range(1, min(max_s, n) + 1):
-        for combo in itertools.combinations(range(n), size):
-            cols = np.concatenate([np.arange(j * k, (j + 1) * k) for j in combo])
-            sub = matrix[:, cols]
-            fit, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if float(np.linalg.norm(sub @ fit - b)) <= _ORACLE_RESIDUAL:
-                c = np.zeros(n * k)
-                c[cols] = fit
-                return ensemble.frame.expand(BlockVector(c.reshape(n, k)))
-    return None

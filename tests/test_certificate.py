@@ -6,6 +6,7 @@ import pytest
 from ffsparse import (
     BlockSupport,
     GramConditionReport,
+    compressible_signal,
     default_partition,
     draw_matrix,
     empirical_tail,
@@ -106,13 +107,20 @@ def test_golfing_single_step_orthogonal_exact():
     assert cert.residual_norms_l2[-1] <= 1e-12
 
 
-def test_golfing_preimage_identity():
+@pytest.mark.parametrize("m, compressible", [
+    (3, False), (12, False), (60, False), (350, False), (60, True),
+], ids=["m=3", "m=12", "m=60", "m=350", "compressible-m=60"])
+def test_golfing_preimage_identity(m, compressible):
+    # the desk_audit shape: the dual vector u must equal M* h for the
+    # assembled preimage h, whichever regime m puts golfing in
     frame, support, x = desk_instance()
-    e = draw_matrix("bernoulli", 40, 60, seed=9, frame=frame)
-    cert = golfing_build(e, x)
+    if compressible:
+        x = compressible_signal(frame, support, 0.2, np.random.default_rng(8))
+    e = draw_matrix("bernoulli", m, 60, seed=9, frame=frame)
+    cert = golfing_build(e, x, support=support if compressible else None)
     rebuilt = e.adjoint(cert.h)
     assert np.abs(rebuilt.blocks - cert.u.blocks).max() <= 1e-9
-    assert sum(cert.partition) == 40
+    assert sum(cert.partition) == m
     assert len(cert.residual_norms_l2) == len(cert.partition) + 1
     assert cert.residual_norms_l2[0] == pytest.approx(2.0)  # sqrt(s), s = 4
     assert cert.residual_norms_l2inf[0] == pytest.approx(1.0)

@@ -228,6 +228,18 @@ def test_certificate_dump(tmp_path):
     assert isinstance(doc["passed"], bool)
 
 
+@pytest.mark.parametrize("command", [
+    ("frame", "gen", "-n", "6", "-d", "4", "-k", "2"),
+    ("solve", "-n", "10", "-d", "4", "-k", "1", "-m", "8", "-s", "1"),
+    ("certificate", "-n", "12", "-d", "4", "-k", "1", "-m", "30", "-s", "2"),
+], ids=["frame gen", "solve", "certificate"])
+def test_out_creates_a_missing_directory(tmp_path, command):
+    out = tmp_path / "new" / "deeper" / "out.json"
+    result = run(*command, "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())
+
+
 @pytest.mark.parametrize("sizes", [("-s", "0", "-m", "4"), ("-s", "7", "-m", "4"),
                                    ("-s", "1", "-m", "0")], ids=["s=0", "s>N", "m=0"])
 def test_certificate_infeasible_sizes(sizes):

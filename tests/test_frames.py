@@ -72,10 +72,9 @@ def test_random_frame_matches_sequential_draws(k):
                               _sequential_frame_bases(n, d, k, seed))
 
 
-def test_random_frame_redraws_a_rank_deficient_draw(monkeypatch):
-    # a stacked QR that reports a rank-deficient draw sends the frame through
-    # the subspace-by-subspace loop, which, with no draw rank-deficient
-    # there, gives the same bases
+def test_random_frame_stays_orthonormal_on_a_rank_deficient_draw(monkeypatch):
+    # a stacked QR that reports a zero diagonal of R (a rank-deficient draw)
+    # still gives an orthonormal frame; every other basis keeps its bits
     real_qr = np.linalg.qr
     stacked_calls = []
 
@@ -91,7 +90,10 @@ def test_random_frame_redraws_a_rank_deficient_draw(monkeypatch):
     fr = random_frame(6, 4, 2, seed=9)
     assert stacked_calls == [(6, 4, 2)]
     monkeypatch.undo()
-    assert np.array_equal(fr.bases, _sequential_frame_bases(6, 4, 2, 9))
+    gram = np.einsum("jdk,jdl->jkl", fr.bases, fr.bases)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-12
+    others = [0, 1, 3, 4, 5]
+    assert np.array_equal(fr.bases[others], _sequential_frame_bases(6, 4, 2, 9)[others])
 
 
 def test_random_frame_rejects_bad_dims():

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,12 @@ from ffsparse import (
     random_support,
     relative_error,
     solve_block_baseline,
-    solve_l0_oracle,
     solve_l1_equality,
     solve_l1_noisy,
     sparse_signal,
 )
 
-TIGHT = SolverConfig(tol_primal=1e-11, tol_dual=1e-11)
+TIGHT = SolverConfig(tol=1e-11)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -45,10 +45,9 @@ def test_import_leaves_scipy_unloaded():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol_primal=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol_dual=-1.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=bad)
 
 
 # -- equality program -----------------------------------------------------------
@@ -262,6 +261,43 @@ def test_closed_form_preconditions():
 
 
 # -- exhaustive oracle -----------------------------------------------------------------
+
+_ORACLE_MAX_N = 12
+_ORACLE_MAX_S = 3
+_ORACLE_RESIDUAL = 1e-8
+
+
+def solve_l0_oracle(ensemble, y, max_s):
+    """Exhaustive sparsest-solution search for tiny instances.
+
+    Enumerates supports of size 0..max_s in lexicographic order, solves the
+    least-squares fit in coefficient space on each, and returns the first
+    consistent solution (residual <= 1e-8) of minimal support size.  Returns
+    None when no support fits.
+    """
+    if ensemble.n > _ORACLE_MAX_N or max_s > _ORACLE_MAX_S:
+        raise ValueError(
+            f"enumeration guard: need N <= {_ORACLE_MAX_N} and max_s <= {_ORACLE_MAX_S}"
+        )
+    ensemble.check_measurements(y)
+    matrix = ensemble.coefficient_matrix()
+    b = y.to_flat()
+    n, k = ensemble.n, ensemble.frame.dim_subspace
+
+    if float(np.linalg.norm(b)) <= _ORACLE_RESIDUAL:
+        return BlockVector.zeros(n, ensemble.frame.dim_ambient)
+
+    for size in range(1, min(max_s, n) + 1):
+        for combo in itertools.combinations(range(n), size):
+            cols = np.concatenate([np.arange(j * k, (j + 1) * k) for j in combo])
+            sub = matrix[:, cols]
+            fit, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            if float(np.linalg.norm(sub @ fit - b)) <= _ORACLE_RESIDUAL:
+                c = np.zeros(n * k)
+                c[cols] = fit
+                return ensemble.frame.expand(BlockVector(c.reshape(n, k)))
+    return None
+
 
 def test_oracle_recovers_one_sparse():
     fr = random_frame(6, 4, 2, seed=34)
@@ -615,8 +651,6 @@ def test_ball_start_matches_dense_solve(monkeypatch):
 def test_ball_solve_recovers_from_failed_factorizations(monkeypatch):
     # every step's first Cholesky reports failure, so every step factors the
     # diagonally shifted Newton matrix, which must still be the one built
-    import itertools
-
     import scipy.linalg
 
     _, e, _, sample = _noisy_instance(10, 3)
@@ -750,7 +784,7 @@ def test_noisy_polish_recovers_from_a_wrong_start(base_seed, cell_index, trial):
 def test_tolerances_govern_both_programs():
     # a looser tolerance stops earlier, a tighter one later, in both programs
     _, e, y, sample = _noisy_instance(10, 3)
-    loose = SolverConfig(tol_primal=1e-5, tol_dual=1e-5)
+    loose = SolverConfig(tol=1e-5)
     for solve in (lambda cfg: solve_l1_equality(e, y, cfg),
                   lambda cfg: solve_l1_noisy(e, sample.y, 0.03, cfg)):
         reports = [solve(cfg) for cfg in (loose, SolverConfig(), TIGHT)]
