@@ -63,7 +63,7 @@ def m_nonuniform_bernoulli(incoh_row_sum: float, n: int, s: int, k: int,
     if n < 2 or s * k < 2:
         raise ValueError("need N >= 2 and s*k >= 2")
     _check_eps(eps)
-    if const <= 0 or incoh_row_sum < 0:
+    if not (const > 0 and incoh_row_sum >= 0):
         raise ValueError("const must be positive and the row sum nonnegative")
     return const * (1.0 + incoh_row_sum) * math.log(n) * math.log(s * k) * math.log(1.0 / eps)
 
@@ -75,7 +75,7 @@ def m_gaussian(max_coherence: float, n: int, s: int, k: int,
     if n < 1 or s < 1 or k < 1:
         raise ValueError("need N, s, k >= 1")
     _check_eps(eps)
-    if const <= 0 or not 0.0 <= max_coherence <= 1.0:
+    if not (const > 0 and 0.0 <= max_coherence <= 1.0):
         raise ValueError("const must be positive and the coherence in [0, 1]")
     return const * (1.0 + max_coherence * s) * math.log(6 * n * k) ** 2 * math.log(1.0 / eps) ** 2
 
@@ -87,7 +87,7 @@ def m_corollary(max_coherence: float, n: int, s: int, k: int,
     if n * s * k < 2:
         raise ValueError("need N*s*k >= 2")
     _check_eps(eps)
-    if const <= 0 or not 0.0 <= max_coherence <= 1.0:
+    if not (const > 0 and 0.0 <= max_coherence <= 1.0):
         raise ValueError("const must be positive and the coherence in [0, 1]")
     return const * (1.0 + max_coherence * s) * math.log(n * s * k) * math.log(1.0 / eps)
 
@@ -118,7 +118,7 @@ def m_cross_gram(incoh_row_rms: float, n: int, s: int, k: int, eps: float) -> fl
 def _exp_tail(prefactor: float, numerator: float, denominator: float) -> float:
     """prefactor * exp(-numerator / denominator), capped at 1; a zero
     denominator with positive numerator means a zero-probability event."""
-    if numerator < 0 or denominator < 0 or prefactor < 0:
+    if not (numerator >= 0 and denominator >= 0 and prefactor >= 0):
         raise ValueError("tail inputs must be nonnegative")
     if denominator == 0.0:
         return 0.0 if numerator > 0 else min(prefactor, 1.0)
@@ -144,7 +144,7 @@ def bernstein_rect_tail(sigma_sq: float, k_bound: float, t: float, d1: int, d2: 
 def bernstein_vector_tail(mean_sq: float, sigma_sq_sum: float, k_bound: float, t: float) -> float:
     """Vector Bernstein tail for the deviation above sqrt(E Z^2):
     exp(-t^2/2 / (M sigma^2 + 2 K sqrt(E Z^2) + t K / 3))."""
-    if mean_sq < 0:
+    if not mean_sq >= 0:
         raise ValueError("mean square must be nonnegative")
     denom = sigma_sq_sum + 2.0 * k_bound * math.sqrt(mean_sq) + t * k_bound / 3.0
     return _exp_tail(1.0, t**2 / 2.0, denom)

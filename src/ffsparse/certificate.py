@@ -280,11 +280,10 @@ def verify_robust(cert: DualCertificate, report: GramConditionReport, *,
     b = theta + beta*gamma/(1-delta) < 1.  The reconstruction-error bound is
     then c1 * (best s-term error) + (c2 + c3 sqrt(s)) * eta.
     """
-    for name, value in (("delta", delta), ("beta", beta), ("gamma", gamma), ("theta", theta)):
-        if value < 0:
+    for name, value in (("delta", delta), ("beta", beta), ("gamma", gamma), ("theta", theta),
+                        ("tau", tau)):
+        if not value >= 0:
             raise ValueError(f"{name} must be nonnegative")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
 
     reasons = []
     if delta >= 1.0:

@@ -19,6 +19,11 @@ N x N product times the frame's cross-Gram, never a product with the
 operators, and ``coefficient_adjoint`` gives the matching right-hand side
 M^T h, block j = U_j^T (scale A^T H)_j.
 
+Every entry of M is one product, a_ij (U_j)_dk then times scale, and every
+entry of the Gram is one product, scale^2 (A^T A)_ij times (U_i^T U_j)_kk',
+so the order of assembly changes no bit; M holds -0.0 where a negative a_ij
+meets a basis entry that is exactly zero.
+
 Noise lives on the same scale: ``add_noise`` puts it exactly on the boundary
 of the ball of radius ``noise_radius(eta, m)`` that ``solve_l1_noisy``
 constrains the residual to.
@@ -150,15 +155,20 @@ class MeasurementEnsemble:
 
         Applying it to coefficients c equals measuring the expanded signal;
         the subspace-membership constraint becomes unconstrained coefficients.
-        Built once, in the ensemble's scale; every call returns the same
-        read-only array.
+        Built once, in the ensemble's scale, as a_ij (U_j)_dk times scale with
+        the N*k axis innermost; every call returns the same read-only,
+        C-contiguous array.
         """
         if self._coeff_cache is None:
             frame = self.frame
             m, n = self._matrix.shape
             d, k = frame.dim_ambient, frame.dim_subspace
-            mat = np.einsum("ij,jdk->idjk", self._matrix, frame.bases).reshape(m * d, n * k)
-            mat = self.scale * mat
+            # side[r, j*k + c] = (U_j)_rc, copied so that the N*k axis is
+            # contiguous (at k = 1 the reshaped transpose is a strided view)
+            side = np.ascontiguousarray(frame.bases.transpose(1, 0, 2)).reshape(d, n * k)
+            mat = np.repeat(self._matrix, k, axis=1)[:, None, :] * side
+            mat *= self.scale
+            mat = mat.reshape(m * d, n * k)
             mat.setflags(write=False)
             self._coeff_cache = mat
         return self._coeff_cache

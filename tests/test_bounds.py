@@ -15,6 +15,7 @@ from ffsparse import (
 )
 from ffsparse.bounds import (
     THEOREM_IDS,
+    _exp_tail,
     cross_gram_tail,
     cross_image_tail,
     gram_deviation_tail,
@@ -45,6 +46,21 @@ def test_bernoulli_fixed_support_domain():
         m_nonuniform_bernoulli(0.0, n=10, s=4, k=2, eps=1.5)
     with pytest.raises(ValueError):
         m_nonuniform_bernoulli(-0.1, n=10, s=4, k=2, eps=0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: m_nonuniform_bernoulli(math.nan, n=10, s=4, k=2, eps=0.1),
+    lambda: m_nonuniform_bernoulli(0.0, n=10, s=4, k=2, eps=0.1, const=math.nan),
+    lambda: m_gaussian(0.0, n=10, s=4, k=2, eps=0.1, const=math.nan),
+    lambda: m_corollary(0.0, n=10, s=4, k=2, eps=0.1, const=math.nan),
+    lambda: _exp_tail(1.0, math.nan, 1.0),
+    lambda: bernstein_vector_tail(math.nan, 1.0, 1.0, 1.0),
+], ids=["bernoulli_row_sum", "bernoulli_const", "gaussian_const", "corollary_const",
+        "exp_tail", "vector_tail_mean_sq"])
+def test_nan_inputs_rejected(call):
+    # a NaN fails every comparison, so each guard must be written to fail on it
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_gaussian_independent_of_s_when_orthogonal():

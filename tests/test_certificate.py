@@ -256,6 +256,20 @@ def test_verify_robust_trivial_constants():
     assert slack.valid
 
 
+@pytest.mark.parametrize("name", ["delta", "beta", "gamma", "theta", "tau"])
+def test_verify_robust_rejects_nan_constant(name):
+    frame = orthogonal_frame(3, 1)
+    rng = np.random.default_rng(8)
+    x = sparse_signal(frame, BlockSupport([2]), rng)
+    e = draw_matrix("bernoulli", 2, 3, seed=9, frame=frame)
+    cert = golfing_build(e, x, partition=[2])
+    report = gram_conditions(e, BlockSupport([2]))
+    constants = dict(delta=0.1, beta=0.1, gamma=0.1, theta=0.1, tau=1.5)
+    constants[name] = math.nan
+    with pytest.raises(ValueError, match=name):
+        verify_robust(cert, report, **constants)
+
+
 def test_verify_robust_arithmetic():
     frame = orthogonal_frame(3, 1)
     rng = np.random.default_rng(10)

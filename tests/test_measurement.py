@@ -225,6 +225,47 @@ def test_gram_matches_dense_product(kind):
     assert np.abs(e.coefficient_adjoint(h) - rhs).max() <= 1e-13 * np.abs(rhs).max()
 
 
+def _operator_shapes():
+    """(frame, m) pairs: desk_audit's tallest shape, a k = 1 frame (whose
+    transposed bases are a strided view), a k = d identity frame, m = 1 and
+    N = 1."""
+    from ffsparse import FusionFrame
+
+    return [
+        (random_frame(60, 6, 2, seed=64), 350),
+        (random_frame(200, 3, 1, seed=65), 30),
+        (FusionFrame(np.broadcast_to(np.eye(4), (9, 4, 4))), 5),
+        (random_frame(7, 5, 3, seed=66), 1),
+        (random_frame(1, 4, 2, seed=67), 6),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("case", range(5), ids=["desk_audit", "k=1", "identity", "m=1", "N=1"])
+def test_operators_match_reference_forms_bit_for_bit(case, kind):
+    # every entry of M and of M^T M is one product, so the assembly order
+    # cannot change a bit: compare with the einsum and 4-D broadcast forms.
+    # The einsum adds each product to +0.0, so where a_ij < 0 meets a zero
+    # basis entry it writes +0.0 and the product -0.0: its values are
+    # compared, and the signs against the 4-D broadcast of the same products
+    fr, m = _operator_shapes()[case]
+    n, d, k = fr.n_subspaces, fr.dim_ambient, fr.dim_subspace
+    e = draw_matrix(kind, m, n, seed=68, frame=fr)
+    einsum = e.scale * np.einsum("ij,jdk->idjk", e.matrix, fr.bases).reshape(m * d, n * k)
+    products = e.matrix[:, None, :, None] * fr.bases.transpose(1, 0, 2)
+    coeff = (products * e.scale).reshape(m * d, n * k)
+    outer = e.scale**2 * (e.matrix.T @ e.matrix)
+    gram = (outer[:, None, :, None] * fr.cross_gram().reshape(n, k, n, k)).reshape(n * k, n * k)
+    assert np.array_equal(e.coefficient_matrix(), einsum)
+    for built, reference in ((e.coefficient_matrix(), coeff), (e.gram(), gram)):
+        assert np.array_equal(built, reference)
+        assert np.array_equal(np.signbit(built), np.signbit(reference))
+        # read-only, and C-contiguous: the Cholesky reads gram.T as a
+        # Fortran-ordered matrix and would otherwise copy it
+        assert not built.flags.writeable
+        assert built.flags.c_contiguous
+
+
 def test_restricted_gram_matches_block_assembly():
     # coefficient-space Gram restricted to support columns equals the
     # basis-conjugated explicit block Gram of the rescaled operator

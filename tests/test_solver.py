@@ -538,11 +538,13 @@ def test_baseline_parametrization_matches_dense_svd(name, m, monkeypatch):
     e = draw_matrix("bernoulli", m, fr.n_subspaces, seed=72, frame=fr)
     y = BlockVector(np.random.default_rng(73).standard_normal((m, 3)))
     matrix, b = e.coefficient_matrix(), y.to_flat()
-    svd, shapes = solver._affine_parametrization, []
+    svd, calls = solver._affine_parametrization, []
     monkeypatch.setattr(solver, "_affine_parametrization",
-                        lambda mat, rhs: shapes.append(mat.shape) or svd(mat, rhs))
+                        lambda mat, rhs: calls.append((mat.shape, svd(mat, rhs))) or calls[-1][1])
     c0, basis = solver._equality_parametrization(e, y, matrix, b)
-    assert shapes == [(m, fr.n_subspaces)]
+    assert [shape for shape, _ in calls] == [(m, fr.n_subspaces)]
+    null = calls[0][1][1]
+    assert np.array_equal(basis, np.kron(null, np.eye(fr.dim_subspace)))
     c_ref, basis_ref = svd(matrix, b)
     assert np.abs(c0 - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
     assert basis.shape == basis_ref.shape
