@@ -116,10 +116,13 @@ def m_cross_gram(incoh_row_rms: float, n: int, s: int, k: int, eps: float) -> fl
 
 
 def _exp_tail(prefactor: float, numerator: float, denominator: float) -> float:
-    """prefactor * exp(-numerator / denominator), capped at 1; a zero
-    denominator with positive numerator means a zero-probability event."""
+    """prefactor * exp(-numerator / denominator), capped at 1; an infinite
+    numerator, or a zero denominator with positive numerator, means a
+    zero-probability event."""
     if not (numerator >= 0 and denominator >= 0 and prefactor >= 0):
         raise ValueError("tail inputs must be nonnegative")
+    if numerator == math.inf:
+        return 0.0
     if denominator == 0.0:
         return 0.0 if numerator > 0 else min(prefactor, 1.0)
     return min(prefactor * math.exp(-numerator / denominator), 1.0)

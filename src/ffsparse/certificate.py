@@ -292,7 +292,7 @@ def verify_robust(cert: DualCertificate, report: GramConditionReport, *,
                            tuple(reasons))
     b = theta + beta * gamma / (1.0 - delta)
     amp = 1.0 + beta / (1.0 - delta)
-    if b >= 1.0:
+    if not b < 1.0:  # NaN (inf * 0) fails
         reasons.append("b >= 1")
         c1 = c2 = c3 = float("nan")
     else:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .blocks import BlockSupport, BlockVector
 from .certificate import golfing_build, gram_conditions, verify_inexact
-from .frames import FusionFrame, incoherence, lambda_eff, random_frame
+from .frames import FusionFrame, lambda_eff, random_frame
 from .measurement import MeasurementEnsemble, add_noise, draw_matrix
 from .signals import compressible_signal, power_law_signal, random_support, sparse_signal
 from .solver import relative_error, solve_block_baseline, solve_l1_equality, solve_l1_noisy
@@ -397,7 +397,7 @@ def _signal_lambda_eff(frame: FusionFrame, x: BlockVector) -> float:
     active = np.nonzero(x.block_norms() > 0)[0]
     if active.size == 0:
         return 0.0
-    return lambda_eff(incoherence(frame), BlockSupport(active))
+    return lambda_eff(frame, BlockSupport(active))
 
 
 def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
@@ -420,7 +420,6 @@ def _run_sweep_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> lis
 def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> list[TrialRecord]:
     """A fresh seeded signal per trial, audited by the Gram conditions and
     the golfing certificate before the equality program solves it."""
-    incoh = incoherence(frame)
     rows = []
     for trial in range(spec.trials):
         seed = _trial_seed(spec.base_seed, cell["index"], trial)
@@ -431,7 +430,7 @@ def _run_audit_cell(spec: ExperimentSpec, cell: dict, frame: FusionFrame) -> lis
         passed, _ = verify_inexact(cert, gram)
         report = solve_l1_equality(ensemble, y)
         rows.append(_trial_record(
-            spec, cell, trial, seed, lambda_eff(incoh, support), "FF", report, x, y,
+            spec, cell, trial, seed, lambda_eff(frame, support), "FF", report, x, y,
             deviation=gram.deviation, inv_norm=gram.inv_norm, cross_max=gram.cross_max,
             on_support_gap=cert.on_support_gap, off_support_max=cert.off_support_max,
             h_norm=cert.h_norm, cert_pass=passed,
@@ -673,13 +672,11 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     experiment = _EXPERIMENTS[spec.name]
     cells = _cells(spec)
     runnable = [cell for cell in cells if cell["m"] >= 1]  # _aggregate notes the rest
-    # one frame per group, shared by its cells; its incoherence is cached
-    # before dispatch, so worker processes unpickle it with the frame
+    # one frame per group, shared by its cells
     frames: dict[int, FusionFrame] = {}
     for cell in runnable:
         if cell["group"] not in frames:
-            frames[cell["group"]] = frame = _group_frame(spec, cell)
-            incoherence(frame)
+            frames[cell["group"]] = _group_frame(spec, cell)
     if experiment.minimal_m_search:
         groups: dict[int, list[dict]] = {}
         for cell in runnable:

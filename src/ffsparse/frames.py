@@ -46,7 +46,8 @@ class FusionFrame:
     weights (default 1); they enter only the frame-bound diagnostics.
     """
 
-    __slots__ = ("_bases", "_weights", "_seed", "_incoherence_cache", "_cross_gram_cache")
+    __slots__ = ("_bases", "_weights", "_seed", "_incoherence_cache", "_cross_gram_cache",
+                 "_coherence_columns")
 
     def __init__(self, bases, weights: Optional[Sequence[float]] = None, seed: Optional[int] = None):
         arr = np.array(bases, dtype=float, copy=True)
@@ -73,6 +74,7 @@ class FusionFrame:
         self._seed = seed
         self._incoherence_cache: Optional["IncoherenceMatrix"] = None
         self._cross_gram_cache: Optional[np.ndarray] = None
+        self._coherence_columns: dict[int, np.ndarray] = {}
 
     @property
     def n_subspaces(self) -> int:
@@ -263,9 +265,31 @@ def incoherence(frame: FusionFrame) -> IncoherenceMatrix:
     return result
 
 
+def _coherence_column(frame: FusionFrame, j: int) -> np.ndarray:
+    """Column j of ``incoherence(frame)`` with the same bits: entry (i, j)
+    comes from the lower index's basis transposed times the higher's, as in
+    the full matrix, through one batched matmul per side and one batched
+    SVD."""
+    bases = frame.bases
+    products = np.concatenate((np.matmul(bases[:j].transpose(0, 2, 1), bases[j]),
+                               np.matmul(bases[j].T, bases[j + 1:])))
+    top = np.minimum(np.linalg.svd(products, compute_uv=False)[:, 0], 1.0)
+    return np.insert(top, j, 0.0)
+
+
 def lambda_max(incoh: IncoherenceMatrix) -> float:
     """Largest entry of the incoherence matrix."""
     return float(incoh.entries.max())
+
+
+def _support_indices(support: BlockSupport, n: int) -> np.ndarray:
+    """The support's indices, checked to be nonempty and below n."""
+    if support.size == 0:
+        raise ValueError("support must be nonempty")
+    idx = support.indices
+    if int(idx[-1]) >= n:
+        raise IndexError("support index out of range")
+    return idx
 
 
 def restricted_norms(incoh: IncoherenceMatrix, support: BlockSupport) -> RestrictedNorms:
@@ -274,11 +298,7 @@ def restricted_norms(incoh: IncoherenceMatrix, support: BlockSupport) -> Restric
     The diagonal is zero, so plain row sums over the support columns already
     exclude the self term.
     """
-    if support.size == 0:
-        raise ValueError("support must be nonempty")
-    idx = support.indices
-    if int(idx[-1]) >= incoh.n:
-        raise IndexError("support index out of range")
+    idx = _support_indices(support, incoh.n)
     cols = incoh.entries[:, idx]
     row_sums = cols.sum(axis=1)
     row_rms = np.sqrt((cols**2).sum(axis=1))
@@ -294,10 +314,23 @@ def restricted_norms(incoh: IncoherenceMatrix, support: BlockSupport) -> Restric
     )
 
 
-def lambda_eff(incoh: IncoherenceMatrix, support: BlockSupport) -> float:
-    """Normalized incoherence of a support: max row sum over S divided by |S|."""
-    norms = restricted_norms(incoh, support)
-    return norms.row_sum / support.size
+def lambda_eff(source: IncoherenceMatrix | FusionFrame, support: BlockSupport) -> float:
+    """Normalized incoherence of a support: max row sum over S divided by |S|.
+
+    ``source`` is an IncoherenceMatrix or a FusionFrame.  From a frame, only
+    the support's columns of its incoherence matrix are computed (and cached
+    on the frame), and they are summed column by column, the order of the
+    row sums over a full matrix, so both give the same bits."""
+    if isinstance(source, FusionFrame):
+        idx = _support_indices(support, source.n_subspaces).tolist()
+        columns = source._coherence_columns
+        for j in idx:
+            if j not in columns:
+                columns[j] = _coherence_column(source, j)
+        row_sums = np.stack([columns[j] for j in idx]).sum(axis=0)
+    else:
+        row_sums = source.entries[:, _support_indices(support, source.n)].sum(axis=1)
+    return float(row_sums.max()) / support.size
 
 
 def frame_to_json(frame: FusionFrame) -> str:

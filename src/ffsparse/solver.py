@@ -28,9 +28,12 @@ c = c0 + B w:
   gives c0 and B with np.linalg.pinv's rank cutoff;
 - ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
   of the residual ball, whose Newton matrices read M^T M from
-  ``ensemble.gram()``.  Radius 0 is the equality program.  A converged
-  solve ends with Newton steps on the optimality conditions over its
-  active groups (``_polish_ball``).
+  ``ensemble.gram()``.  Radius 0 is the equality program.  Once the duality
+  gap is at most sqrt(tol) of the objective, every step first tries Newton
+  steps on the optimality conditions over the iterate's active groups
+  (``_polish_ball``); a polished point that meets every condition to 1e-10
+  is optimal, so it ends the solve, converged, at that step.  A solve whose
+  every attempt fails stops by the test below and returns its iterate.
 
 When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
 
@@ -264,7 +267,7 @@ class _Cones:
         def to_boundary(d):
             y0 = np.add.reduceat(junit * d, starts)
             y1 = (d - ((y0 + d[starts]) * inv_head)[own] * unit) * tail
-            worst = float(np.max((np.sqrt(np.add.reduceat(y1 * y1, starts)) - y0) / scale))
+            worst = float(((np.sqrt(np.add.reduceat(y1 * y1, starts)) - y0) / scale).max())
             return 1.0 / worst if worst > 0 else math.inf
 
         return to_boundary
@@ -357,12 +360,20 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         z[ng] = nu / (s[ng] - off)
 
     converged = False
+    # a ball step tries the polish once the gap is below sqrt(tol) of the
+    # objective, never later than the step that meets the stopping test
+    polish_gap = max(math.sqrt(cfg.tol), cfg.tol)
     for it in range(cfg.max_iter + 1):
         c = c0 + expand(w)
         r_z = s - h - lift(c - c0, t)
         zw, zt = lift_t(z)
         r_w, r_t = -zw, 1.0 - zt
         gap = float(s @ z)
+        if ball and gap <= polish_gap * float(t.sum()):
+            # the ball multiplier: z_ball = (zeta, -zeta (M c - b) / radius) at the optimum
+            polished = _polish_ball(c, matrix, b, radius, k, z[ng] / radius)
+            if polished is not None:
+                return polished, it, True
         if (_norm(r_z) <= cfg.tol * h_norm
                 and math.hypot(_norm(r_w), _norm(r_t)) <= cfg.tol * q_norm
                 and gap <= cfg.tol * float(t.sum())):
@@ -440,11 +451,14 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
             lifted = lift(dc, dt)
             return dw, dt, unscale(lifted if r_z is None else lifted - r_z), lifted
 
-        def newton(r_z, r_w, r_t, xi, refine=False):
-            """One Newton solve, returned as (dw, dt, W^-1 ds, W dz, -G dx),
-            with ``refine`` one step of iterative refinement on G^T dz = -r_x,
-            whose residuals r_z and xi are zero, so it enters after the lift."""
-            uw, ut = lift_t(unscale(unscale(r_z) + xi))
+        scaled_r_z = unscale(r_z)  # W^-1 r_z, shared by the predictor and the corrector
+
+        def newton(xi, refine=False):
+            """One Newton solve on the step's residuals, returned as (dw, dt,
+            W^-1 ds, W dz, -G dx), with ``refine`` one step of iterative
+            refinement on G^T dz = -r_x, whose residuals r_z and xi are zero,
+            so it enters after the lift."""
+            uw, ut = lift_t(unscale(scaled_r_z + xi))
             dw, dt, ds, lifted = solve_reduced(uw - r_w, ut - r_t, r_z)
             dz = xi - ds
             if not refine:
@@ -457,12 +471,12 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         # second-order term, so it goes unrefined, and so does the corrector
         # unless the factor may be inaccurate; the residuals are recomputed
         # from the iterate at every step
-        _, _, ds_a, dz_a, _ = newton(r_z, r_w, r_t, -lam)
+        _, _, ds_a, dz_a, _ = newton(-lam)
         step = min(1.0, max_step(ds_a), max_step(dz_a))
         sigma = (1.0 - step) ** _CENTERING_EXPONENT
         mu = gap / n_cones
         xi = cones.inverse_circ(lam, sigma * mu * e - cones.circ(ds_a, dz_a)) - lam
-        dw, dt, ds, dz, lifted = newton(r_z, r_w, r_t, xi, refine)
+        dw, dt, ds, dz, lifted = newton(xi, refine)
         step = min(1.0, _STEP_SHARE * min(max_step(ds), max_step(dz)))
         w_new = w + step * dw
         t_new = t + step * dt
@@ -472,11 +486,6 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
                 and np.isfinite(z_new).all() and np.isfinite(t_new).all()):
             break
         w, t, s, z = w_new, t_new, s_new, z_new
-    if ball and converged:
-        # the ball multiplier: z_ball = (zeta, -zeta (M c - b) / radius) at the optimum
-        polished = _polish_ball(c, matrix, b, radius, k, z[ng] / radius)
-        if polished is not None:
-            c = polished
     return c, it, converged
 
 
@@ -518,6 +527,9 @@ def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float
     An interior-point iterate lies only about sqrt(gap) from the minimizer
     along the curved boundary of the ball, while these conditions are smooth
     wherever ||c_j|| > 0, so a few steps reach the minimizer to rounding.
+    They stop at the first step that fails to halve a residual already
+    below 1e-10, and give up when the residual grows tenfold past its first
+    value, the mark of a wrong active set.
     The active groups are those above 1e-6 of the largest block norm.  When
     that set fails, a group just above the cut may be inactive, or one
     below it active; the one retry reads the set from the iterate's dual
@@ -543,8 +555,9 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
     gram = sub.T @ sub
     idx = np.arange(cols.size).reshape(-1, k)
     x = np.append(c[cols], nu)
+    jac = np.zeros((x.size, x.size))  # rewritten in place by every step but its 0 corner
     best, best_x = math.inf, None
-    for _ in range(_POLISH_STEPS):
+    for step in range(_POLISH_STEPS):
         blocks = x[:-1].reshape(-1, k)
         block_norms = np.linalg.norm(blocks, axis=1)
         unit = blocks / block_norms[:, None]
@@ -552,12 +565,18 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
         g = sub.T @ r
         f = np.append(unit.ravel() + x[-1] * g, 0.5 * (r @ r / radius**2 - 1.0))
         size = float(np.abs(f).max())
+        if step == 0:
+            first = size
+        # stop once a step fails to halve a residual already below 1e-10 (it
+        # has reached rounding; before that a step may overshoot), and give
+        # up once the residual grows tenfold past its first value (a wrong
+        # active set) or at the last point
+        done = best <= 1e-10 and not size <= 0.5 * best
         if size < best:
             best, best_x = size, x
-        elif best <= 1e-10:
-            break  # converged to rounding; before that a step may overshoot
-        jac = np.zeros((x.size, x.size))
-        jac[:-1, :-1] = x[-1] * gram
+        if done or not size <= 10.0 * first or step == _POLISH_STEPS - 1:
+            break
+        np.multiply(gram, x[-1], out=jac[:-1, :-1])
         jac[idx[:, :, None], idx[:, None, :]] += (
             np.eye(k) - unit[:, :, None] * unit[:, None, :]) / block_norms[:, None, None]
         jac[:-1, -1] = g

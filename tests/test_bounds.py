@@ -143,6 +143,13 @@ def test_vector_tail():
         math.exp(-0.5 / (1.0 + 2.0 + 1.0 / 3.0)))
 
 
+def test_tails_vanish_at_infinite_deviation():
+    # inf / inf in the exponent is NaN; an infinite deviation has probability 0
+    assert bernstein_matrix_tail(1.0, 1.0, math.inf, 1) == 0.0
+    assert bernstein_vector_tail(1.0, 1.0, 1.0, math.inf) == 0.0
+    assert bernstein_rect_tail(1.0, 1.0, math.inf, 2, 3) == 0.0
+
+
 def test_tail_monotonicity():
     ts = [0.5, 1.0, 2.0, 4.0]
     vals = [bernstein_matrix_tail(1.0, 0.5, t, 3) for t in ts]

@@ -256,6 +256,20 @@ def test_verify_robust_trivial_constants():
     assert slack.valid
 
 
+def test_verify_robust_infinite_beta_without_gamma():
+    frame = orthogonal_frame(3, 1)
+    rng = np.random.default_rng(8)
+    x = sparse_signal(frame, BlockSupport([2]), rng)
+    e = draw_matrix("bernoulli", 2, 3, seed=9, frame=frame)
+    cert = golfing_build(e, x, partition=[2])
+    report = gram_conditions(e, BlockSupport([2]))
+    # b = theta + inf * 0 / (1 - delta) is NaN: no finite error bound follows
+    check = verify_robust(cert, report, delta=0.0, beta=math.inf, gamma=0.0, theta=0.0, tau=1.5)
+    assert not check.valid
+    assert "b >= 1" in check.reasons
+    assert all(math.isnan(c) for c in (check.c1, check.c2, check.c3))
+
+
 @pytest.mark.parametrize("name", ["delta", "beta", "gamma", "theta", "tau"])
 def test_verify_robust_rejects_nan_constant(name):
     frame = orthogonal_frame(3, 1)

@@ -345,20 +345,43 @@ def test_each_group_frame_is_built_once(spec, tmp_path, monkeypatch):
     assert outputs[1] == outputs[2]
 
 
-def test_frames_reach_jobs_with_incoherence_cached(monkeypatch):
-    # worker processes unpickle each group frame together with its cache
+@pytest.mark.parametrize("spec", [
+    tiny_spec(s_list=[1, 2], m_list=[2, 4, 6]),
+    ExperimentSpec(name="certificate_audit", N=10, d=4, k=2, s_list=[2, 3], m_list=[3, 6],
+                   trials=3, base_seed=14),
+], ids=["phase_transition", "certificate_audit"])
+def test_sweeps_compute_support_columns_once_per_frame(spec, monkeypatch):
+    # lambda_eff reads only its support's columns of the incoherence matrix:
+    # a sweep never builds the full matrix, and each group frame computes a
+    # column at most once, however many cells and trials share it
+    import sys
+
     import ffsparse.experiments as experiments
+    import ffsparse.frames as frames
 
-    cached = []
-    original = experiments._run_cell_job
+    def no_full_matrix(frame):
+        raise AssertionError("the full incoherence matrix was built")
 
-    def recording_job(args):
-        cached.append(args[2]._incoherence_cache is not None)
-        return original(args)
+    computed = []
+    original = frames._coherence_column
 
-    monkeypatch.setattr(experiments, "_run_cell_job", recording_job)
-    run_experiment(tiny_spec(s_list=[1, 2]))
-    assert cached and all(cached)
+    def recording_column(frame, j):
+        computed.append((frame.seed, j))
+        return original(frame, j)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ffsparse") and hasattr(module, "incoherence"):
+            monkeypatch.setattr(module, "incoherence", no_full_matrix)
+    monkeypatch.setattr(frames, "_coherence_column", recording_column)
+    rows = run_experiment(spec).rows
+    monkeypatch.undo()
+    assert computed and len(set(computed)) == len(computed)
+
+    # the same values as lambda_eff over the full matrix
+    monkeypatch.setattr(experiments, "lambda_eff", lambda frame, support: frames.lambda_eff(
+        frames.incoherence(frame), support))
+    full = run_experiment(spec).rows
+    assert [r.lambda_eff for r in rows] == [r.lambda_eff for r in full]
 
 
 # -- shared seeded instances ------------------------------------------------------------

@@ -329,6 +329,29 @@ def test_lambda_eff_near_point_six_for_lines_in_r3():
     assert 0.5 <= float(np.median(values)) <= 0.7
 
 
+@pytest.mark.parametrize("shape", [(40, 3, 1), (30, 6, 2), (25, 7, 3)])
+def test_lambda_eff_from_support_columns_matches_full_matrix(shape):
+    # from a frame, lambda_eff reads only the support's columns, cached on the
+    # frame, and gives the bits of the full matrix's row sums
+    n = shape[0]
+    rng = np.random.default_rng(n)
+    supports = [[0], [n - 1], [0, n - 1], list(range(n)),
+                *(rng.choice(n, size=s, replace=False) for s in (2, 7, 10, 17))]
+    full = incoherence(random_frame(*shape, seed=n))
+    fr = random_frame(*shape, seed=n)
+    for indices in supports:
+        support = BlockSupport(indices)
+        assert lambda_eff(fr, support) == lambda_eff(full, support)
+    assert fr._incoherence_cache is None
+    assert sorted(fr._coherence_columns) == list(range(n))
+    for j, column in fr._coherence_columns.items():
+        assert np.array_equal(column, full.entries[:, j])
+    with pytest.raises(ValueError):
+        lambda_eff(fr, BlockSupport([]))
+    with pytest.raises(IndexError):
+        lambda_eff(fr, BlockSupport([n]))
+
+
 def test_lambda_decreases_with_ambient_dimension():
     # medians over 50 seeds: d = 2k packs subspaces tighter than d = 10k
     k = 2

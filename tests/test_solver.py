@@ -751,11 +751,26 @@ def _assert_ball_optimal(matrix, b, radius, c, active):
 
 @pytest.mark.parametrize("base_seed,cell_index,trial", [(1, 4, 19), (8001, 1, 0)])
 def test_noisy_polish_recovers_from_a_wrong_start(base_seed, cell_index, trial):
-    # desk_noisy_sigma trial seed 1004019 (sigma 0.08): group 23 passes the
-    # 1e-6 norm cut but is inactive, and Newton on that set stalls at 4.7e-5,
-    # so the retry takes the active set from the dual scores.  Trial seed
-    # 8001001000 (sigma 0.02, base seed 8001): the set is right, but the
-    # first Newton step raises the residual before the next ones converge.
+    # desk_noisy_sigma trial seed 1004019 (sigma 0.08): at every attempt the
+    # 1e-6 norm cut keeps an inactive group, so the certified point comes
+    # from the retry, which takes the active set from the dual scores.  Trial
+    # seed 8001001000 (sigma 0.02, base seed 8001): at the certifying attempt
+    # the set is right, but the first Newton step raises the residual (less
+    # than tenfold) before the next ones converge.
+    frame, e, sample, sigma = _desk_noisy_trial(base_seed, cell_index, trial)
+    report = solve_l1_noisy(e, sample.y, sigma)
+    assert report.converged
+    c = np.stack([frame.basis(j).T @ report.x_hat.block(j) for j in range(frame.n_subspaces)])
+    active = np.linalg.norm(c, axis=1) > 0
+    assert not active.all()  # the polished point: inactive groups are exactly 0
+    _assert_ball_optimal(e.coefficient_matrix(), sample.y.to_flat(),
+                         sigma * np.sqrt(e.m) * e.scale, c, active)
+
+
+def _desk_noisy_trial(base_seed, cell_index, trial):
+    """(frame, ensemble, noisy sample, sigma) of one trial of
+    desk_noisy_sigma at the given base seed, built by the experiment's own
+    helpers."""
     import json
 
     from ffsparse import add_noise
@@ -772,13 +787,95 @@ def test_noisy_polish_recovers_from_a_wrong_start(base_seed, cell_index, trial):
     e = draw_matrix(spec.kind, cell["m"], spec.N, seed, frame)
     sample = add_noise(e.measure(_cell_signal(spec, cell, frame)), cell["sigma"],
                        seed + _NOISE_SEED_OFFSET)
-    report = solve_l1_noisy(e, sample.y, cell["sigma"])
+    return frame, e, sample, cell["sigma"]
+
+
+@pytest.mark.parametrize("n_sub,m", [(10, 3), (6, 4)])
+def test_ball_solve_ends_at_the_first_certified_polish(n_sub, m, monkeypatch):
+    # a ball step tries the polish once the gap is below sqrt(tol) of the
+    # objective and ends the solve when it certifies optimality; a solve
+    # whose in-loop attempts fail until its converging step polishes only
+    # there, and one whose every attempt fails returns its own iterate
+    import ffsparse.solver as solver
+
+    _, e, _, sample = _noisy_instance(n_sub, m)
+    early = solve_l1_noisy(e, sample.y, 0.03)
+    real = solver._polish_ball
+    attempts = []
+
+    def failing(*args):
+        attempts.append(args)
+        return None
+
+    monkeypatch.setattr(solver, "_polish_ball", failing)
+    unpolished = solve_l1_noisy(e, sample.y, 0.03)
+    assert len(attempts) >= 2
+    calls = itertools.count()
+    monkeypatch.setattr(solver, "_polish_ball", lambda *args: (
+        real(*args) if next(calls) == len(attempts) - 1 else None))
+    late = solve_l1_noisy(e, sample.y, 0.03)
+    assert early.converged and late.converged and unpolished.converged
+    assert early.iterations < late.iterations == unpolished.iterations
+    assert np.abs(early.x_hat.blocks - late.x_hat.blocks).max() <= 1e-9
+    assert not np.array_equal(late.x_hat.blocks, unpolished.x_hat.blocks)
+    assert abs(unpolished.objective - early.objective) <= 1e-8 * early.objective
+
+
+def _recording_newton_on_active(monkeypatch):
+    """Record every later call of ``_newton_on_active`` as [np.linalg.solve
+    calls made, whether it returned a point]."""
+    import ffsparse.solver as solver
+
+    real_solve, real_newton = np.linalg.solve, solver._newton_on_active
+    log = []
+
+    def counting_solve(*args):
+        log[-1][0] += 1
+        return real_solve(*args)
+
+    def recording_newton(*args):
+        log.append([0, False])
+        point = real_newton(*args)
+        log[-1][1] = point is not None
+        return point
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(solver, "_newton_on_active", recording_newton)
+    return log
+
+
+def test_polish_gives_up_on_a_diverging_active_set(monkeypatch):
+    # desk_noisy_sigma trial seed 1003000 (sigma 0.06): the first in-loop
+    # polish takes every group above 1e-6 of the largest norm, among them
+    # inactive ones, and its residual grows tenfold at the first Newton
+    # step; the retry's set from the dual scores is right and converges
+    _, e, sample, sigma = _desk_noisy_trial(1, 3, 0)
+    log = _recording_newton_on_active(monkeypatch)
+    report = solve_l1_noisy(e, sample.y, sigma)
     assert report.converged
-    c = np.stack([frame.basis(j).T @ report.x_hat.block(j) for j in range(spec.N)])
-    active = np.linalg.norm(c, axis=1) > 0
-    assert not active.all()  # the polished point: inactive groups are exactly 0
-    _assert_ball_optimal(e.coefficient_matrix(), sample.y.to_flat(),
-                         cell["sigma"] * np.sqrt(cell["m"]) * e.scale, c, active)
+    assert log[0][1] is False and log[0][0] <= 2
+    assert log[-1][1] is True and log[-1][0] <= 5
+
+
+def test_polish_stops_at_rounding(monkeypatch):
+    # from a point 1e-4 off the minimizer on the right active set, Newton
+    # converges quadratically and stops at the first step that fails to
+    # halve a residual below 1e-10, well before its step cap
+    import ffsparse.solver as solver
+
+    fr, e, _, sample = _noisy_instance(10, 3)
+    report = solve_l1_noisy(e, sample.y, 0.03)
+    matrix, b, radius = e.coefficient_matrix(), sample.y.to_flat(), 0.03 * np.sqrt(3) * e.scale
+    c = np.concatenate([fr.basis(j).T @ report.x_hat.block(j) for j in range(10)])
+    active = np.linalg.norm(c.reshape(10, 2), axis=1) > 0
+    g = (matrix.T @ (matrix @ c - b)).reshape(10, 2)[active]
+    nu = 1.01 / np.linalg.norm(g, axis=1).mean()
+    start = c + 1e-4 * np.abs(c).max() * np.repeat(active, 2) \
+        * np.random.default_rng(0).standard_normal(20)
+    log = _recording_newton_on_active(monkeypatch)
+    polished = solver._newton_on_active(start, matrix, b, radius, 2, nu, active)
+    assert log[0][1] is True and log[0][0] <= 5 < solver._POLISH_STEPS - 1
+    assert np.abs(polished - c).max() <= 1e-12 * np.abs(c).max()
 
 
 # -- stopping rule -----------------------------------------------------------------------
