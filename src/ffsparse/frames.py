@@ -274,7 +274,9 @@ def _coherence_column(frame: FusionFrame, j: int) -> np.ndarray:
     products = np.concatenate((np.matmul(bases[:j].transpose(0, 2, 1), bases[j]),
                                np.matmul(bases[j].T, bases[j + 1:])))
     top = np.minimum(np.linalg.svd(products, compute_uv=False)[:, 0], 1.0)
-    return np.insert(top, j, 0.0)
+    column = np.zeros(top.size + 1)
+    column[:j], column[j + 1:] = top[:j], top[j:]
+    return column
 
 
 def lambda_max(incoh: IncoherenceMatrix) -> float:

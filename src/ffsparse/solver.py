@@ -28,12 +28,15 @@ c = c0 + B w:
   gives c0 and B with np.linalg.pinv's rank cutoff;
 - ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
   of the residual ball, whose Newton matrices read M^T M from
-  ``ensemble.gram()``.  Radius 0 is the equality program.  Once the duality
-  gap is at most sqrt(tol) of the objective, every step first tries Newton
-  steps on the optimality conditions over the iterate's active groups
-  (``_polish_ball``); a polished point that meets every condition to 1e-10
-  is optimal, so it ends the solve, converged, at that step.  A solve whose
-  every attempt fails stops by the test below and returns its iterate.
+  ``ensemble.gram()``.  Radius 0 is the equality program.  The start
+  gives the ball cone the complementarity of all group cones together:
+  the smaller eigenvalue of its s o z is sum_j t_j = sum_j s_j^T z_j.
+  Once the duality gap is at most sqrt(tol) of the objective, every step
+  first tries Newton steps on the optimality conditions over the
+  iterate's active groups (``_polish_ball``); a polished point that meets
+  every condition to 1e-10 is optimal, so it ends the solve, converged, at
+  that step.  A solve whose every attempt fails stops by the test below
+  and returns its iterate.
 
 When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
 
@@ -339,8 +342,12 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
 
     # start: the least-norm point of the affine set (least squares for the
     # ball), t_j = ||c_j|| + nu with nu the largest block norm, z_j = (1, 0)
-    # and z_ball = (zeta, 0): dual feasible, every eigenvalue of s o z in
-    # [nu, 3 nu], and primal feasible unless the start is not inside the ball
+    # and z_ball = (zeta, 0): dual feasible, with every eigenvalue of a group
+    # cone's s o z in [nu, 3 nu].  The ball's slack head is the radius, or
+    # twice the residual norm once that reaches half the radius (primal
+    # infeasible then); zeta sets the smaller eigenvalue of the ball cone's
+    # s o z to sum_j t_j, the group cones' total s^T z, and its larger one
+    # to at most 3 sum_j t_j
     w = np.zeros(q)
     if ball:
         chol = gram.copy()
@@ -357,7 +364,7 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
     if ball:
         off = _norm(s[ng + 1:])
         s[ng] = radius if off < 0.5 * radius else 2.0 * off
-        z[ng] = nu / (s[ng] - off)
+        z[ng] = float(t.sum()) / (s[ng] - off)
 
     converged = False
     # a ball step tries the polish once the gap is below sqrt(tol) of the
@@ -527,23 +534,23 @@ def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float
     An interior-point iterate lies only about sqrt(gap) from the minimizer
     along the curved boundary of the ball, while these conditions are smooth
     wherever ||c_j|| > 0, so a few steps reach the minimizer to rounding.
-    They stop at the first step that fails to halve a residual already
-    below 1e-10, and give up when the residual grows tenfold past its first
-    value, the mark of a wrong active set.
-    The active groups are those above 1e-6 of the largest block norm.  When
-    that set fails, a group just above the cut may be inactive, or one
-    below it active; the one retry reads the set from the iterate's dual
-    scores instead, keeping a group when its relative block norm exceeds its
-    dual slack 1 - nu ||M_j^T r||.  Returns the polished point, with
-    inactive groups exactly 0, when it meets every optimality condition
-    (nu ||M_j^T r|| <= 1 off the active groups included), else None."""
+    They stop one step after the residual first falls below 1e-10, where
+    quadratic convergence reaches rounding, and give up when the residual
+    grows tenfold past its first value, the mark of a wrong active set.
+    The active groups are read from the iterate's dual scores: a group is
+    kept when its relative block norm exceeds its dual slack
+    1 - nu ||M_j^T r||, so a small block whose score is clearly below 1 is
+    dropped and one whose score is above 1 kept.  When that set fails, the
+    one retry takes the groups above 1e-6 of the largest block norm.
+    Returns the polished point, with inactive groups exactly 0, when it
+    meets every optimality condition (nu ||M_j^T r|| <= 1 off the active
+    groups included), else None."""
     k = block_len
     norms = np.linalg.norm(c.reshape(-1, k), axis=1)
-    active = norms > 1e-6 * norms.max()
-    polished = _newton_on_active(c, matrix, b, radius, k, nu, active)
+    slack = 1.0 - nu * np.linalg.norm((matrix.T @ (matrix @ c - b)).reshape(-1, k), axis=1)
+    polished = _newton_on_active(c, matrix, b, radius, k, nu, norms / norms.max() > slack)
     if polished is None:
-        slack = 1.0 - nu * np.linalg.norm((matrix.T @ (matrix @ c - b)).reshape(-1, k), axis=1)
-        polished = _newton_on_active(c, matrix, b, radius, k, nu, norms / norms.max() > slack)
+        polished = _newton_on_active(c, matrix, b, radius, k, nu, norms > 1e-6 * norms.max())
     return polished
 
 
@@ -567,11 +574,11 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
         size = float(np.abs(f).max())
         if step == 0:
             first = size
-        # stop once a step fails to halve a residual already below 1e-10 (it
-        # has reached rounding; before that a step may overshoot), and give
-        # up once the residual grows tenfold past its first value (a wrong
-        # active set) or at the last point
-        done = best <= 1e-10 and not size <= 0.5 * best
+        # stop one step after the residual first falls below 1e-10: Newton
+        # converges quadratically there, so that step reaches rounding and
+        # any later one only reshuffles it; give up once the residual grows
+        # tenfold past its first value (a wrong active set) or at the last point
+        done = best <= 1e-10
         if size < best:
             best, best_x = size, x
         if done or not size <= 10.0 * first or step == _POLISH_STEPS - 1:

@@ -650,6 +650,60 @@ def test_ball_start_matches_dense_solve(monkeypatch):
     assert np.abs(solutions[0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("n_sub,m", [(10, 3), (6, 4)])
+def test_ball_start_balances_the_ball_cone(n_sub, m, monkeypatch):
+    # the start lies strictly inside every cone and is dual feasible: z_j =
+    # (1, 0) per group and z_ball = (zeta, 0), so G^T z = (0, 1).  zeta sets
+    # the smaller eigenvalue zeta (s0 - ||s1||) of the ball cone's s o z to
+    # sum_j t_j, the total of the group cones' s_j^T z_j = t_j.  Wide (10, 3):
+    # the least-squares start fits b, so s0 = radius.  Tall (6, 4): the
+    # least-squares residual is over half the radius, so s0 = 2 ||M c - b||,
+    # past the ball's radius.  The first two Jordan norms a step takes are
+    # those of s and z
+    import ffsparse.solver as solver
+    from ffsparse.measurement import noise_radius
+
+    _, e, _, sample = _noisy_instance(n_sub, m)
+    real, points = solver._Cones.jnorm, []
+
+    def recording(self, u):
+        points.append((self, u.copy()))
+        return real(self, u)
+
+    monkeypatch.setattr(solver._Cones, "jnorm", recording)
+    assert solve_l1_noisy(e, sample.y, 0.03).converged
+    (cones, s), (_, z) = points[:2]
+    assert (real(cones, s) > 0).all() and (real(cones, z) > 0).all()
+    heads, ng = cones.starts[:n_sub], cones.starts[-1]
+    assert (z[heads] == 1.0).all() and not np.delete(z, cones.starts).any()
+    t, radius = s[heads], noise_radius(0.03, m)
+    head, off = s[ng], float(np.linalg.norm(s[ng + 1:]))
+    if n_sub == 10:
+        assert off < 0.5 * radius and head == radius
+    else:
+        assert 0.5 * radius <= off < radius and head == 2.0 * off
+    assert abs(z[ng] * (head - off) - t.sum()) <= 1e-12 * t.sum()
+
+
+def test_ball_solves_match_tight_solves_on_random_instances():
+    # wide (15 x 24) and tall (25 x 12) coefficient matrices, Gaussian and
+    # Bernoulli, sigma from 0.005 to 1: every ball solve converges to the
+    # objective of a TIGHT solve within 1e-9
+    from ffsparse import add_noise
+
+    for trial, sigma in enumerate(np.geomspace(0.005, 1.0, 10)):
+        n_sub, m = ((12, 3), (6, 5))[trial % 2]
+        fr = random_frame(n_sub, 5, 2, seed=90 + trial)
+        rng = np.random.default_rng(100 + trial)
+        x = sparse_signal(fr, random_support(n_sub, 2, rng), rng)
+        e = draw_matrix(("gaussian", "bernoulli")[trial // 2 % 2], m, n_sub, seed=110 + trial,
+                        frame=fr)
+        y = add_noise(e.measure(x), sigma, seed=120 + trial).y
+        report, tight = solve_l1_noisy(e, y, sigma), solve_l1_noisy(e, y, sigma, TIGHT)
+        assert report.converged and tight.converged
+        assert abs(report.objective - tight.objective) <= 1e-9 * tight.objective
+
+
 def test_ball_solve_recovers_from_failed_factorizations(monkeypatch):
     # every step's first Cholesky reports failure, so every step factors the
     # diagonally shifted Newton matrix, which must still be the one built
@@ -752,11 +806,11 @@ def _assert_ball_optimal(matrix, b, radius, c, active):
 @pytest.mark.parametrize("base_seed,cell_index,trial", [(1, 4, 19), (8001, 1, 0)])
 def test_noisy_polish_recovers_from_a_wrong_start(base_seed, cell_index, trial):
     # desk_noisy_sigma trial seed 1004019 (sigma 0.08): at every attempt the
-    # 1e-6 norm cut keeps an inactive group, so the certified point comes
-    # from the retry, which takes the active set from the dual scores.  Trial
-    # seed 8001001000 (sigma 0.02, base seed 8001): at the certifying attempt
-    # the set is right, but the first Newton step raises the residual (less
-    # than tenfold) before the next ones converge.
+    # 1e-6 norm cut, the retry's set, keeps inactive groups, so the certified
+    # point comes from the set read from the dual scores, at the last attempt
+    # of the four.  Trial seed 8001001000 (sigma 0.02, base seed 8001): at
+    # the certifying attempt the set is right, but the first Newton step
+    # raises the residual (less than tenfold) before the next ones converge.
     frame, e, sample, sigma = _desk_noisy_trial(base_seed, cell_index, trial)
     report = solve_l1_noisy(e, sample.y, sigma)
     assert report.converged
@@ -845,22 +899,37 @@ def _recording_newton_on_active(monkeypatch):
 
 
 def test_polish_gives_up_on_a_diverging_active_set(monkeypatch):
-    # desk_noisy_sigma trial seed 1003000 (sigma 0.06): the first in-loop
-    # polish takes every group above 1e-6 of the largest norm, among them
-    # inactive ones, and its residual grows tenfold at the first Newton
-    # step; the retry's set from the dual scores is right and converges
+    # desk_noisy_sigma trial seed 1003000 (sigma 0.06): at the first in-loop
+    # polish the set from the dual scores is right and converges, while
+    # every group above 1e-6 of the largest norm (the retry's set) includes
+    # inactive ones, and that set's residual grows tenfold at the first
+    # Newton step
+    import ffsparse.solver as solver
+
     _, e, sample, sigma = _desk_noisy_trial(1, 3, 0)
+    real, attempts = solver._polish_ball, []
+
+    def recording(*args):
+        attempts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_polish_ball", recording)
     log = _recording_newton_on_active(monkeypatch)
     report = solve_l1_noisy(e, sample.y, sigma)
     assert report.converged
-    assert log[0][1] is False and log[0][0] <= 2
-    assert log[-1][1] is True and log[-1][0] <= 5
+    assert log[0][1] is True and log[0][0] <= 5
+    c, matrix, b, radius, k, nu = attempts[0]
+    norms = np.linalg.norm(c.reshape(-1, k), axis=1)
+    cut = norms > 1e-6 * norms.max()
+    assert solver._newton_on_active(c, matrix, b, radius, k, nu, cut) is None
+    assert log[-1][0] <= 2
 
 
 def test_polish_stops_at_rounding(monkeypatch):
     # from a point 1e-4 off the minimizer on the right active set, Newton
-    # converges quadratically and stops at the first step that fails to
-    # halve a residual below 1e-10, well before its step cap
+    # converges quadratically and stops one step after its residual first
+    # falls below 1e-10, well before its step cap, whatever the rounding
+    # noise of that last step
     import ffsparse.solver as solver
 
     fr, e, _, sample = _noisy_instance(10, 3)
@@ -880,15 +949,29 @@ def test_polish_stops_at_rounding(monkeypatch):
 
 # -- stopping rule -----------------------------------------------------------------------
 
-def test_tolerances_govern_both_programs():
-    # a looser tolerance stops earlier, a tighter one later, in both programs
+def test_tolerances_govern_both_programs(monkeypatch):
+    # a looser tolerance stops earlier, a tighter one later, in both
+    # programs' stopping tests.  A ball solve ends instead at its first
+    # certified polish, whose 1e-10 accuracy does not depend on the
+    # tolerance, so there a looser tolerance stops no later; with every
+    # polish failing, the stopping test orders the ball solves strictly
+    import ffsparse.solver as solver
+
     _, e, y, sample = _noisy_instance(10, 3)
-    loose = SolverConfig(tol=1e-5)
-    for solve in (lambda cfg: solve_l1_equality(e, y, cfg),
-                  lambda cfg: solve_l1_noisy(e, sample.y, 0.03, cfg)):
-        reports = [solve(cfg) for cfg in (loose, SolverConfig(), TIGHT)]
-        assert all(r.converged for r in reports)
+    configs = (SolverConfig(tol=1e-5), SolverConfig(), TIGHT)
+
+    def ball(cfg):
+        return solve_l1_noisy(e, sample.y, 0.03, cfg)
+
+    equality = [solve_l1_equality(e, y, cfg) for cfg in configs]
+    polished = [ball(cfg) for cfg in configs]
+    monkeypatch.setattr(solver, "_polish_ball", lambda *args: None)
+    unpolished = [ball(cfg) for cfg in configs]
+    assert all(r.converged for r in equality + polished + unpolished)
+    for reports in (equality, unpolished):
         assert reports[0].iterations < reports[1].iterations < reports[2].iterations
+    assert polished[0].iterations <= polished[1].iterations <= polished[2].iterations
+    assert all(p.iterations <= u.iterations for p, u in zip(polished, unpolished))
 
 
 def _ff_vs_block_instance(trial):
