@@ -206,6 +206,7 @@ def solve(fr, kind, measurements, sparsity, seed, eta, program, out):
         "constraint_residual": report.constraint_residual,
         "iterations": report.iterations,
         "converged": report.converged,
+        "polish_attempts": report.polish_attempts,
         "rel_err": rel,
         "recovered_blocks": norm_l0_block(report.x_hat, 1e-6),
         "wall_time": report.wall_time,

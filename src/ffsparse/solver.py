@@ -31,12 +31,27 @@ c = c0 + B w:
   ``ensemble.gram()``.  Radius 0 is the equality program.  The start
   gives the ball cone the complementarity of all group cones together:
   the smaller eigenvalue of its s o z is sum_j t_j = sum_j s_j^T z_j.
-  Once the duality gap is at most sqrt(tol) of the objective, every step
-  first tries Newton steps on the optimality conditions over the
-  iterate's active groups (``_polish_ball``); a polished point that meets
-  every condition to 1e-10 is optimal, so it ends the solve, converged, at
-  that step.  A solve whose every attempt fails stops by the test below
-  and returns its iterate.
+  A radius of at most sqrt(tol) ||b|| is mostly rounding of M c - b, so
+  such a ball is first solved through the equality program, whose
+  certified optimum, moved into the ball, is returned when the duality
+  bound shows it tol-optimal (``_tiny_ball``).
+
+Both programs end at a certified polish (Ye 1992, "On the finite
+convergence of interior-point algorithms for linear programming"; Mehrotra
+& Ye 1993): once the duality gap is at most sqrt(tol) of the objective,
+every step first tries Newton steps on the optimality conditions over the
+iterate's active groups, read from its dual.  A polished point that meets
+every condition to 1e-10, recomputed from the point, is optimal, so it ends
+the solve, converged, at that step.  The ball polish (``_polish_ball``)
+solves for the point and the ball multiplier.  The equality polish
+(``_polish_equality``) minimizes sum_j ||c_j|| over M_S c_S = b, S the
+active groups, by one SVD of M_S and Newton steps in its null space, and
+certifies the point with a multiplier lam, M_j^T lam = c_j / ||c_j|| on S
+and ||M_j^T lam|| <= 1 off it, fitted to the iterate's dual through the
+factor its route holds: R1 on the QR route, the SVD of scale A on the
+identical-subspace route.  The Gram route takes no steps and the SVD of M
+has no polish.  A solve whose every attempt fails stops by the test below
+and returns its iterate.
 
 When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
 
@@ -68,7 +83,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -112,6 +127,7 @@ class SolveReport:
     iterations: int
     converged: bool
     wall_time: float = 0.0
+    polish_attempts: int = 0  # polishes tried, the certified one included
 
 
 def relative_error(x_hat: BlockVector, x_true: BlockVector) -> float:
@@ -126,17 +142,24 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def _svd_parts(matrix: np.ndarray, cutoff: float = 1e-15):
+    """(U_r, sigma_r, V_r^T, null) from one SVD of ``matrix``, r the number
+    of singular values above cutoff * sigma_max (by default np.linalg.pinv's
+    cutoff), and the rows of ``null`` an orthonormal basis of the null space:
+    V^T is square, with full U only when the matrix is wide."""
+    rows, cols = matrix.shape
+    u, sing, vt = np.linalg.svd(matrix, full_matrices=rows < cols)
+    rank = int(np.count_nonzero(sing > cutoff * sing.max()))
+    return u[:, :rank], sing[:rank], vt[:rank], vt[rank:]
+
+
 def _affine_parametrization(matrix: np.ndarray, b: np.ndarray):
     """(c0, B) with {c0 + B w} = {c : M c = b} (the least-squares set when b
     is inconsistent): c0 = pinv(M) b and B (n x q) an orthonormal basis of
-    the null space of M, from one SVD with np.linalg.pinv's rank cutoff
-    (singular values above 1e-15 * sigma_max).  ``b`` is one right-hand
-    side or a matrix with one per column."""
-    rows, cols = matrix.shape
-    u, sing, vt = np.linalg.svd(matrix, full_matrices=rows < cols)
-    rank = int(np.count_nonzero(sing > 1e-15 * sing.max()))
-    c0 = vt[:rank].T @ ((u[:, :rank].T @ b).T / sing[:rank]).T
-    return c0, np.ascontiguousarray(vt[rank:].T)
+    the null space of M, from one SVD (``_svd_parts``).  ``b`` is one
+    right-hand side or a matrix with one per column."""
+    u, sing, vt, null = _svd_parts(matrix)
+    return vt.T @ ((u.T @ b).T / sing).T, np.ascontiguousarray(null.T)
 
 
 # the smallest reciprocal condition estimate of a factor that gives c0 in
@@ -168,11 +191,12 @@ def _gram_solution(gram: np.ndarray, rhs: np.ndarray, matrix: np.ndarray,
 
 
 def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
-    """(c0, B) for a wide M of full row rank, from a Householder QR M^T =
-    Q [R1; 0]: M = R1^T Q1^T, so c0 = Q [R1^-T b; 0] = pinv(M) b and B =
+    """(c0, B, R1) for a wide M of full row rank, from a Householder QR M^T
+    = Q [R1; 0]: M = R1^T Q1^T, so c0 = Q [R1^-T b; 0] = pinv(M) b and B =
     Q [0; I] spans the null space, both from one application of the
-    reflectors.  None when LAPACK's reciprocal condition estimate of R1
-    (that of M) is below _MIN_RCOND, rank-deficient M included."""
+    reflectors; R1 is returned as the leading rows of geqrf's output, whose
+    upper triangle is R1.  None when LAPACK's reciprocal condition estimate
+    of R1 (that of M) is below _MIN_RCOND, rank-deficient M included."""
     import scipy.linalg
 
     rows, cols = matrix.shape
@@ -188,31 +212,58 @@ def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
     coords[rows:, 1:] = np.eye(cols - rows)
     lwork = int(ormqr("L", "N", qr, tau, coords, -1)[1][0])
     c0_basis = ormqr("L", "N", qr, tau, coords, lwork, overwrite_c=1)[0]
-    return c0_basis[:, 0], np.ascontiguousarray(c0_basis[:, 1:])
+    return c0_basis[:, 0], np.ascontiguousarray(c0_basis[:, 1:]), r1
 
 
 def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
                               matrix: Optional[np.ndarray], b: np.ndarray):
-    """(c0, B) of the equality program's feasible set by the first route
-    that applies: the SVD of scale A when all subspaces share one basis, the
-    guarded Gram route for a tall coefficient matrix M, the guarded QR route
-    for a wide one, and the SVD of M.  A ``matrix`` of None is the
+    """(c0, B, polish) of the equality program's feasible set by the first
+    route that applies: the SVD of scale A when all subspaces share one
+    basis, the guarded Gram route for a tall coefficient matrix M, the
+    guarded QR route for a wide one, and the SVD of M.  ``polish(c, zeta)``
+    is ``_polish_equality`` on the route's own operator and factor, None on
+    the Gram route (no steps) and the SVD of M.  A ``matrix`` of None is the
     ensemble's M, built only when a route after the first needs it."""
     bases = ensemble.frame.bases
     if (bases == bases[0]).all():
-        c0, null = _affine_parametrization(ensemble.scale * ensemble.matrix, y.blocks @ bases[0])
-        return c0.ravel(), np.kron(null, np.eye(bases.shape[2]))
+        # M = scale (A kron U): M_S and M^T lam from A, and the least-squares
+        # lam0 with M^T lam0 = -zeta from the SVD of scale A, since
+        # pinv(scale A^T kron U^T) = pinv(scale A^T) kron U
+        basis, scaled = bases[0], ensemble.scale * ensemble.matrix
+        u, sing, vt, null = _svd_parts(scaled)
+        c0 = vt.T @ ((u.T @ (y.blocks @ basis)).T / sing).T
+
+        def polish(c, zeta):
+            return _polish_equality(
+                c, zeta, b, basis.shape[1],
+                lambda active: np.kron(scaled[:, active], basis),
+                lambda lam: (scaled.T @ lam.reshape(-1, basis.shape[0]) @ basis).ravel(),
+                -(u @ ((vt @ zeta.reshape(-1, basis.shape[1])).T / sing).T @ basis.T).ravel())
+
+        return c0.ravel(), np.kron(null.T, np.eye(basis.shape[1])), polish
     if matrix is None:
         matrix = ensemble.coefficient_matrix()
     if matrix.shape[0] >= matrix.shape[1]:
         c0 = _gram_solution(ensemble.gram(), ensemble.coefficient_adjoint(y), matrix, b)
         if c0 is not None:
-            return c0, np.empty((c0.size, 0))
+            return c0, np.empty((c0.size, 0)), None
     else:
         parametrization = _qr_parametrization(matrix, b)
         if parametrization is not None:
-            return parametrization
-    return _affine_parametrization(matrix, b)
+            import scipy.linalg
+
+            c0, basis, r1 = parametrization
+            trtrs, k = scipy.linalg.get_lapack_funcs("trtrs", (r1,)), ensemble.frame.dim_subspace
+
+            def polish(c, zeta):
+                # M M^T = R1^T R1: lam0 = -(M M^T)^-1 M zeta by two triangular solves
+                lam0 = -trtrs(r1, trtrs(r1, matrix @ zeta, trans=1)[0])[0]
+                return _polish_equality(c, zeta, b, k,
+                                        lambda active: matrix[:, np.repeat(active, k)],
+                                        lambda lam: matrix.T @ lam, lam0)
+
+            return c0, basis, polish
+    return (*_affine_parametrization(matrix, b), None)
 
 
 class _Cones:
@@ -283,14 +334,28 @@ _STEP_SHARE = 0.99
 _REFINE_SPREAD = 1e4
 
 
+class _Solution(NamedTuple):
+    """What ``_group_socp`` returns: the point, the interior-point steps
+    taken, whether it converged, the polish attempts, and the multiplier
+    lam of a certified equality polish (None otherwise)."""
+
+    c: np.ndarray
+    iterations: int
+    converged: bool
+    polish_attempts: int = 0
+    multiplier: Optional[np.ndarray] = None
+
+
 def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
                 cfg: SolverConfig, matrix: Optional[np.ndarray] = None,
                 b: Optional[np.ndarray] = None, radius: float = 0.0,
-                gram: Optional[np.ndarray] = None):
+                gram: Optional[np.ndarray] = None, polish=None) -> _Solution:
     """min sum_j ||c_j||_2 over c = c0 + basis @ w, or, given a matrix and
     its Gram matrix^T matrix (the ball program, basis None for B = I),
-    subject to ||matrix @ c - b||_2 <= radius.  Returns (c, iterations,
-    converged).
+    subject to ||matrix @ c - b||_2 <= radius.  ``polish(c, zeta)`` is the
+    equality program's ``_polish_equality`` on its route's operator, zeta
+    the group cones' dual tails; the ball program polishes with
+    ``_polish_ball``.
 
     Variables x = (w, t); the cone constraints are s = h - G x in the cone
     product, s_j = (t_j, c_j) per group and s_ball = (radius, M c - b).
@@ -302,7 +367,7 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
     n_groups = n // k
     q = n if basis is None else basis.shape[1]
     if q == 0:
-        return c0, 0, True
+        return _Solution(c0, 0, True)
     ball = matrix is not None
     ng = n_groups * (k + 1)  # length of the group cones' part
     cones = _Cones(np.array([k + 1] * n_groups + ([matrix.shape[0] + 1] if ball else [])))
@@ -366,8 +431,8 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         s[ng] = radius if off < 0.5 * radius else 2.0 * off
         z[ng] = float(t.sum()) / (s[ng] - off)
 
-    converged = False
-    # a ball step tries the polish once the gap is below sqrt(tol) of the
+    converged, attempts = False, 0
+    # a step tries the polish once the gap is below sqrt(tol) of the
     # objective, never later than the step that meets the stopping test
     polish_gap = max(math.sqrt(cfg.tol), cfg.tol)
     for it in range(cfg.max_iter + 1):
@@ -376,11 +441,17 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         zw, zt = lift_t(z)
         r_w, r_t = -zw, 1.0 - zt
         gap = float(s @ z)
-        if ball and gap <= polish_gap * float(t.sum()):
-            # the ball multiplier: z_ball = (zeta, -zeta (M c - b) / radius) at the optimum
-            polished = _polish_ball(c, matrix, b, radius, k, z[ng] / radius)
-            if polished is not None:
-                return polished, it, True
+        if (ball or polish is not None) and gap <= polish_gap * float(t.sum()):
+            attempts += 1
+            if ball:
+                # the ball multiplier: z_ball = (zeta, -zeta (M c - b) / radius) at the optimum
+                polished = _polish_ball(c, matrix, b, radius, k, z[ng] / radius)
+                if polished is not None:
+                    return _Solution(polished, it, True, attempts)
+            else:
+                certified = polish(c, z[tails])
+                if certified is not None:
+                    return _Solution(certified[0], it, True, attempts, certified[1])
         if (_norm(r_z) <= cfg.tol * h_norm
                 and math.hypot(_norm(r_w), _norm(r_t)) <= cfg.tol * q_norm
                 and gap <= cfg.tol * float(t.sum())):
@@ -493,7 +564,7 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
                 and np.isfinite(z_new).all() and np.isfinite(t_new).all()):
             break
         w, t, s, z = w_new, t_new, s_new, z_new
-    return c, it, converged
+    return _Solution(c, it, converged, attempts)
 
 
 def _ball_newton_matrix(n_groups: int, k: int):
@@ -525,6 +596,40 @@ def _ball_newton_matrix(n_groups: int, k: int):
 _POLISH_STEPS = 8
 
 
+def _newton(x: np.ndarray, system) -> Optional[np.ndarray]:
+    """Newton's method from x on system(x) = (f, step), ``step()`` giving
+    the Newton step J^-1 f at x, or None when the Jacobian J is singular.
+    It stops one step after the residual max |f| first falls below 1e-10,
+    where quadratic convergence reaches rounding and any later step only
+    reshuffles it, and gives up once the residual grows tenfold past its
+    first value (a wrong active set), at a singular Jacobian, or at the last
+    of _POLISH_STEPS points.  Returns the point with the smallest residual
+    when that is at most 1e-10, else None."""
+    best, best_x = math.inf, None
+    for step in range(_POLISH_STEPS):
+        f, newton_step = system(x)
+        size = float(np.abs(f).max())
+        if step == 0:
+            first = size
+        done = best <= 1e-10
+        if size < best:
+            best, best_x = size, x
+        if done or not size <= 10.0 * first or step == _POLISH_STEPS - 1:
+            break
+        dx = newton_step()
+        if dx is None:
+            break
+        x = x - dx
+    return best_x if best <= 1e-10 else None
+
+
+def _norm_hessian(unit: np.ndarray, block_norms: np.ndarray) -> np.ndarray:
+    """The diagonal blocks (I - u_j u_j^T) / ||c_j|| of the Hessian of
+    sum_j ||c_j||, from the unit blocks u_j and the norms, as (groups, k, k)."""
+    k = unit.shape[1]
+    return (np.eye(k) - unit[:, :, None] * unit[:, None, :]) / block_norms[:, None, None]
+
+
 def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float,
                  block_len: int, nu: float) -> Optional[np.ndarray]:
     """Newton's method on the optimality conditions of the ball program over
@@ -533,12 +638,9 @@ def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float
 
     An interior-point iterate lies only about sqrt(gap) from the minimizer
     along the curved boundary of the ball, while these conditions are smooth
-    wherever ||c_j|| > 0, so a few steps reach the minimizer to rounding.
-    They stop one step after the residual first falls below 1e-10, where
-    quadratic convergence reaches rounding, and give up when the residual
-    grows tenfold past its first value, the mark of a wrong active set.
-    The active groups are read from the iterate's dual scores: a group is
-    kept when its relative block norm exceeds its dual slack
+    wherever ||c_j|| > 0, so a few steps (``_newton``) reach the minimizer
+    to rounding.  The active groups are read from the iterate's dual scores:
+    a group is kept when its relative block norm exceeds its dual slack
     1 - nu ||M_j^T r||, so a small block whose score is clearly below 1 is
     dropped and one whose score is above 1 kept.  When that set fails, the
     one retry takes the groups above 1e-6 of the largest block norm.
@@ -561,38 +663,31 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
     sub = matrix[:, cols]
     gram = sub.T @ sub
     idx = np.arange(cols.size).reshape(-1, k)
-    x = np.append(c[cols], nu)
-    jac = np.zeros((x.size, x.size))  # rewritten in place by every step but its 0 corner
-    best, best_x = math.inf, None
-    for step in range(_POLISH_STEPS):
+    jac = np.zeros((cols.size + 1, cols.size + 1))  # rewritten in place but its 0 corner
+
+    def system(x):
         blocks = x[:-1].reshape(-1, k)
         block_norms = np.linalg.norm(blocks, axis=1)
         unit = blocks / block_norms[:, None]
         r = sub @ x[:-1] - b
         g = sub.T @ r
+
         f = np.append(unit.ravel() + x[-1] * g, 0.5 * (r @ r / radius**2 - 1.0))
-        size = float(np.abs(f).max())
-        if step == 0:
-            first = size
-        # stop one step after the residual first falls below 1e-10: Newton
-        # converges quadratically there, so that step reaches rounding and
-        # any later one only reshuffles it; give up once the residual grows
-        # tenfold past its first value (a wrong active set) or at the last point
-        done = best <= 1e-10
-        if size < best:
-            best, best_x = size, x
-        if done or not size <= 10.0 * first or step == _POLISH_STEPS - 1:
-            break
-        np.multiply(gram, x[-1], out=jac[:-1, :-1])
-        jac[idx[:, :, None], idx[:, None, :]] += (
-            np.eye(k) - unit[:, :, None] * unit[:, None, :]) / block_norms[:, None, None]
-        jac[:-1, -1] = g
-        jac[-1, :-1] = g / radius**2
-        try:
-            x = x - np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            break
-    if best_x is None or not best <= 1e-10 or best_x[-1] <= 0:
+
+        def newton_step():
+            np.multiply(gram, x[-1], out=jac[:-1, :-1])
+            jac[idx[:, :, None], idx[:, None, :]] += _norm_hessian(unit, block_norms)
+            jac[:-1, -1] = g
+            jac[-1, :-1] = g / radius**2
+            try:
+                return np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError:
+                return None
+
+        return f, newton_step
+
+    best_x = _newton(np.append(c[cols], nu), system)
+    if best_x is None or best_x[-1] <= 0:
         return None
     polished = np.zeros(c.size)
     polished[cols] = best_x[:-1]
@@ -601,6 +696,94 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
     if not (best_x[-1] * off <= 1.0).all():
         return None
     return polished
+
+
+def _polish_equality(c: np.ndarray, zeta: np.ndarray, b: np.ndarray, block_len: int,
+                     restrict, adjoint, lam0: np.ndarray):
+    """The equality program's polish: the minimizer of sum_j ||c_j|| subject
+    to M_S c_S = b over the groups S active at the iterate c, and a
+    multiplier lam that certifies it optimal for the whole program.
+
+    ``restrict(active)`` is M_S, ``adjoint(lam)`` is M^T lam, ``zeta`` the
+    group cones' dual tails and ``lam0`` the least-squares fit of M^T lam0
+    = -zeta, from the factor the route holds.  S is read from the dual
+    scores as in ``_polish_ball``: group j is kept when ||c_j|| / max ||c||
+    exceeds its dual slack 1 - ||zeta_j||; when that set fails, the one
+    retry, if it differs, takes the groups above 1e-6 of the largest block
+    norm.  Returns (c, lam) when ``_equality_on_active`` certifies the
+    point, else None."""
+    k = block_len
+    norms = np.linalg.norm(c.reshape(-1, k), axis=1)
+    active = norms / norms.max() > 1.0 - np.linalg.norm(zeta.reshape(-1, k), axis=1)
+    certified = _equality_on_active(c, b, k, restrict, adjoint, lam0, active)
+    retry = norms > 1e-6 * norms.max()
+    if certified is None and (retry != active).any():
+        certified = _equality_on_active(c, b, k, restrict, adjoint, lam0, retry)
+    return certified
+
+
+def _equality_on_active(c: np.ndarray, b: np.ndarray, k: int, restrict, adjoint,
+                        lam0: np.ndarray, active: np.ndarray):
+    """The polish of ``_polish_equality`` on the given active groups.
+
+    One SVD of M_S (rank cutoff max(shape) eps sigma_max, as
+    np.linalg.matrix_rank) gives the least-norm c_p, the consistency check
+    ||M_S c_p - b|| and an orthonormal basis N of null(M_S), so tall, wide
+    and rank-deficient M_S take one path.  Newton's method (``_newton``)
+    minimizes sum_S ||c_j|| over c_S = c_p + N v from the iterate's
+    projection: gradient N^T u and Hessian N^T H N, u the unit blocks and H
+    the blocks of ``_norm_hessian``, factored by Cholesky; a failed factor
+    (at k = 1, where H = 0) ends the iteration.  The multiplier is lam0
+    plus the least change with M_S^T lam = u.  The point is certified from
+    what is returned, every residual recomputed: ||u - M_S^T lam||_inf and
+    ||M_S c_S - b||_inf at most 1e-10, every block on S nonzero and
+    ||M_j^T lam|| <= 1 off S; then it is optimal, as lam is a dual point
+    with M_j^T lam = c_j / ||c_j|| on S."""
+    if not active.any():
+        return None
+    cols = np.flatnonzero(np.repeat(active, k))
+    sub = restrict(active)
+    u, sing, vt, null = _svd_parts(sub, max(sub.shape) * np.finfo(float).eps)
+    c_p = vt.T @ ((u.T @ b) / sing)
+    if not np.abs(sub @ c_p - b).max() <= 1e-10:
+        return None
+    c_s = c_p
+    if null.shape[0]:
+        import scipy.linalg
+
+        q = null.shape[0]
+        null3 = null.T.reshape(-1, k, q)
+        potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (null,))
+
+        def system(v):
+            blocks = (c_p + null.T @ v).reshape(-1, k)
+            block_norms = np.linalg.norm(blocks, axis=1)
+            unit = blocks / block_norms[:, None]
+            gradient = null @ unit.ravel()
+
+            def newton_step():  # the Hessian is symmetric positive semidefinite
+                hess = null @ (_norm_hessian(unit, block_norms) @ null3).reshape(-1, q)
+                chol, info = potrf(hess.T, lower=1, clean=0, overwrite_a=1)
+                return potrs(chol, gradient, lower=1)[0] if info == 0 else None
+
+            return gradient, newton_step
+
+        v = _newton(null @ c[cols], system)
+        if v is None:
+            return None
+        c_s = c_p + null.T @ v
+    block_norms = np.linalg.norm(c_s.reshape(-1, k), axis=1)
+    if not (block_norms > 0).all():
+        return None
+    unit = (c_s.reshape(-1, k) / block_norms[:, None]).ravel()
+    lam = lam0 + u @ ((vt @ (unit - sub.T @ lam0)) / sing)
+    if not (np.abs(unit - sub.T @ lam).max() <= 1e-10 and np.abs(sub @ c_s - b).max() <= 1e-10):
+        return None
+    polished = np.zeros(c.size)
+    polished[cols] = c_s
+    if not (np.linalg.norm(adjoint(lam).reshape(-1, k)[~active], axis=1) <= 1.0).all():
+        return None
+    return polished, lam
 
 
 def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[SolverConfig],
@@ -616,23 +799,72 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
     size, b = ensemble.n * block_len, y.to_flat()
     radius = radius or 0.0
     if _norm(b) <= radius:  # c = 0 is feasible, so it is optimal
-        c, iters, converged = np.zeros(size), 0, True
+        solution = _Solution(np.zeros(size), 0, True)
     elif radius > 0.0:
-        c, iters, converged = _group_socp(np.zeros(size), None, block_len, cfg,
-                                          ensemble.coefficient_matrix(), b, radius, ensemble.gram())
+        solution = _tiny_ball(ensemble, y, b, radius, cfg)
+        if not solution.converged:  # the ball program, counting the steps spent above
+            ball = _group_socp(np.zeros(size), None, block_len, cfg,
+                               ensemble.coefficient_matrix(), b, radius, ensemble.gram())
+            solution = ball._replace(
+                iterations=solution.iterations + ball.iterations,
+                polish_attempts=solution.polish_attempts + ball.polish_attempts)
     else:
-        c0, basis = _equality_parametrization(ensemble, y, None, b)
-        c, iters, converged = _group_socp(c0, basis, block_len, cfg)
-    x_hat = frame.expand(BlockVector(c.reshape(ensemble.n, block_len)))
+        c0, basis, polish = _equality_parametrization(ensemble, y, None, b)
+        solution = _group_socp(c0, basis, block_len, cfg, polish=polish)
+    x_hat = frame.expand(BlockVector(solution.c.reshape(ensemble.n, block_len)))
     misfit = ensemble.scale * (ensemble.matrix @ x_hat.blocks) - y.blocks
     return SolveReport(
         x_hat=x_hat,
         objective=norm_l21(x_hat),
         constraint_residual=max(0.0, float(np.linalg.norm(misfit)) - radius),
-        iterations=iters,
-        converged=converged,
+        iterations=solution.iterations,
+        converged=solution.converged,
         wall_time=time.perf_counter() - t0,
+        polish_attempts=solution.polish_attempts,
     )
+
+
+def _tiny_ball(ensemble: MeasurementEnsemble, y: BlockVector, b: np.ndarray, radius: float,
+               cfg: SolverConfig) -> _Solution:
+    """The ball program through the equality program when the radius is at
+    most sqrt(tol) ||b||, where the rounding of M c - b is a sizeable part
+    of the radius and the ball's own steps stall.
+
+    For every dual point lam (||M_j^T lam|| <= 1 for all j), every c' in the
+    ball has sum_j ||c'_j|| >= lam^T M c' >= lam^T b - radius ||lam||, so a
+    point of the ball whose objective exceeds that bound by at most tol of
+    itself is tol-optimal.  From the certified equality optimum c on its
+    groups S, two such pairs are tried: c moved into the ball along
+    -lam_S, lam_S = pinv(M_S^T) u the least-norm multiplier on S (u the unit
+    blocks), which the ball optimum follows to first order in the radius,
+    so the bound holds to second order; then c itself with the polish's
+    multiplier.  Each multiplier is scaled into the dual set and every
+    quantity is recomputed.  The returned solution is converged only when a
+    pair passes; otherwise it carries the steps and attempts spent, and the
+    ball program runs."""
+    if not radius <= math.sqrt(cfg.tol) * _norm(b):
+        return _Solution(None, 0, False)
+    k, matrix = ensemble.frame.dim_subspace, ensemble.coefficient_matrix()
+    c0, basis, polish = _equality_parametrization(ensemble, y, matrix, b)
+    solution = _group_socp(c0, basis, k, cfg, polish=polish)
+    if solution.multiplier is None:
+        return solution._replace(converged=False)
+    c = solution.c
+    norms = np.linalg.norm(c.reshape(-1, k), axis=1)
+    cols = np.flatnonzero(np.repeat(norms > 0, k))
+    u, sing, vt, _ = _svd_parts(matrix[:, cols])
+    lam = u @ ((vt @ (c[cols] / np.repeat(norms[norms > 0], k))) / sing)
+    target = -(1.0 - 1e-6) * radius / _norm(lam) * lam  # the moved point's residual
+    moved = c.copy()
+    moved[cols] += vt.T @ ((u.T @ (target - (matrix @ c - b))) / sing)
+    for point, multiplier in ((moved, lam), (c, solution.multiplier)):
+        multiplier = multiplier / max(1.0, float(np.linalg.norm(
+            (matrix.T @ multiplier).reshape(-1, k), axis=1).max()))
+        objective = float(np.linalg.norm(point.reshape(-1, k), axis=1).sum())
+        bound = float(multiplier @ b) - radius * _norm(multiplier)
+        if _norm(matrix @ point - b) <= radius and objective - bound <= cfg.tol * objective:
+            return solution._replace(c=point)
+    return solution._replace(converged=False)
 
 
 def solve_l1_equality(ensemble: MeasurementEnsemble, y: BlockVector,

@@ -119,6 +119,17 @@ def test_solve_reports_recovery(tmp_path):
     assert doc["converged"]
 
 
+@pytest.mark.parametrize("eta", [None, "1e-10"])
+def test_solve_reports_polish_attempts(eta):
+    # a wide program (12 x 40) takes steps and ends at a certified polish;
+    # so does a ball too small for its own steps, through the equality program
+    result = run("solve", "-n", "20", "-d", "4", "-k", "2", "-m", "3", "-s", "1", "--seed", "3",
+                 *(("--eta", eta) if eta else ()))
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["converged"] and 1 <= doc["polish_attempts"] <= doc["iterations"] + 1
+
+
 def test_solve_noisy_program():
     result = run("solve", "-n", "8", "-d", "4", "-k", "1", "-m", "6", "-s", "1",
                  "--eta", "0.05")

@@ -390,13 +390,13 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
     svd = _affine_parametrization(matrix, b)
     results = [svd]
     if rows < cols:
-        results.append(_equality_parametrization(_distinct_subspaces(), None, matrix, b))
+        results.append(_equality_parametrization(_distinct_subspaces(), None, matrix, b)[:2])
         qr = _qr_parametrization(matrix, b)
         if duplicate:
             assert qr is None
             assert all(np.array_equal(x, y) for x, y in zip(results[1], svd))
         else:
-            assert all(np.array_equal(x, y) for x, y in zip(results[1], qr))
+            assert all(np.array_equal(x, y) for x, y in zip(results[1], qr[:2]))
     for c0, basis in results:
         assert basis.shape == (cols, cols - min(rows - duplicate, cols))
         assert np.abs(c0 - pinv @ b).max() <= 1e-12
@@ -409,7 +409,8 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
 def test_qr_route_from_reflectors(shape):
     # q = 1, and the 192 x 200 coefficient matrix of the desk_noisy benchmark
     # (N = 100, d = 12, k = 2, m = 16, Gaussian): c0 and B come from applying
-    # the reflectors of geqrf(M^T) to [R1^-T b, 0; 0, I_q]
+    # the reflectors of geqrf(M^T) to [R1^-T b, 0; 0, I_q], and the upper
+    # triangle R1 that the route returns factors M M^T = R1^T R1
     from ffsparse.solver import _qr_parametrization
 
     rng = np.random.default_rng(79)
@@ -420,8 +421,10 @@ def test_qr_route_from_reflectors(shape):
         matrix = rng.standard_normal(shape)
     rows, cols = matrix.shape
     b = rng.standard_normal(rows)
-    c0, basis = _qr_parametrization(matrix, b)
+    c0, basis, r1 = _qr_parametrization(matrix, b)
     expected = np.linalg.pinv(matrix) @ b
+    r1 = np.triu(r1)
+    assert np.abs(r1.T @ r1 - matrix @ matrix.T).max() <= 1e-12 * np.abs(matrix @ matrix.T).max()
     assert basis.shape == (cols, cols - rows) and basis.flags.c_contiguous
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.abs(matrix @ basis).max() <= 1e-12 * np.abs(matrix).max()
@@ -430,7 +433,8 @@ def test_qr_route_from_reflectors(shape):
 
 def test_ill_conditioned_wide_equality_falls_back_to_the_svd():
     # two rows 1e-10 apart: M has full rank for the SVD's cutoff, but the
-    # condition estimate of R1 is below 1e-8, so the SVD's result comes back
+    # condition estimate of R1 is below 1e-8, so the SVD's result comes back,
+    # with no polish
     import scipy.linalg
 
     from ffsparse.solver import _affine_parametrization, _equality_parametrization
@@ -441,9 +445,9 @@ def test_ill_conditioned_wide_equality_falls_back_to_the_svd():
     b = rng.standard_normal(8)
     r1 = np.linalg.qr(matrix.T)[1]
     assert scipy.linalg.get_lapack_funcs("trcon", (r1,))(r1)[0] < 1e-8
-    c0, basis = _equality_parametrization(_distinct_subspaces(), None, matrix, b)
+    c0, basis, polish = _equality_parametrization(_distinct_subspaces(), None, matrix, b)
     c_ref, basis_ref = _affine_parametrization(matrix, b)
-    assert basis.shape == (15, 7)
+    assert basis.shape == (15, 7) and polish is None
     assert np.array_equal(c0, c_ref) and np.array_equal(basis, basis_ref)
 
 
@@ -456,8 +460,8 @@ def test_tall_equality_takes_the_gram_route():
     y = e.measure(sparse_signal(fr, random_support(20, 3, rng), rng))
     matrix, b = e.coefficient_matrix(), y.to_flat()
     assert matrix.shape == (150, 40)
-    c0, basis = _equality_parametrization(e, y, matrix, b)
-    assert basis.shape == (40, 0)
+    c0, basis, polish = _equality_parametrization(e, y, matrix, b)
+    assert basis.shape == (40, 0) and polish is None  # no steps, so no polish
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -483,7 +487,7 @@ def test_rank_deficient_tall_equality_falls_back_to_the_svd():
     from ffsparse.solver import _equality_parametrization
 
     e, y, matrix, b = _twin_block_ensemble(0.0)
-    c0, basis = _equality_parametrization(e, y, matrix, b)
+    c0, basis, _ = _equality_parametrization(e, y, matrix, b)
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
     assert basis.shape == (12, 2)
@@ -503,7 +507,7 @@ def test_ill_conditioned_tall_equality_falls_back_to_the_svd():
 
     e, y, matrix, b = _twin_block_ensemble(1e-5)
     assert scipy.linalg.get_lapack_funcs("potrf", (e.gram(),))(e.gram())[1] == 0
-    c0, basis = _equality_parametrization(e, y, matrix, b)
+    c0, basis, _ = _equality_parametrization(e, y, matrix, b)
     assert np.array_equal(c0, _affine_parametrization(matrix, b)[0])
     assert basis.shape == (12, 0)
 
@@ -538,14 +542,15 @@ def test_baseline_parametrization_matches_dense_svd(name, m, monkeypatch):
     e = draw_matrix("bernoulli", m, fr.n_subspaces, seed=72, frame=fr)
     y = BlockVector(np.random.default_rng(73).standard_normal((m, 3)))
     matrix, b = e.coefficient_matrix(), y.to_flat()
-    svd, calls = solver._affine_parametrization, []
-    monkeypatch.setattr(solver, "_affine_parametrization",
-                        lambda mat, rhs: calls.append((mat.shape, svd(mat, rhs))) or calls[-1][1])
-    c0, basis = solver._equality_parametrization(e, y, matrix, b)
+    svd, calls = solver._svd_parts, []
+    monkeypatch.setattr(solver, "_svd_parts",
+                        lambda mat: calls.append((mat.shape, svd(mat))) or calls[-1][1])
+    c0, basis, _ = solver._equality_parametrization(e, y, matrix, b)
     assert [shape for shape, _ in calls] == [(m, fr.n_subspaces)]
-    null = calls[0][1][1]
+    null = calls[0][1][3].T
     assert np.array_equal(basis, np.kron(null, np.eye(fr.dim_subspace)))
-    c_ref, basis_ref = svd(matrix, b)
+    monkeypatch.undo()
+    c_ref, basis_ref = solver._affine_parametrization(matrix, b)
     assert np.abs(c0 - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
     assert basis.shape == basis_ref.shape
     assert np.abs(basis @ basis.T - basis_ref @ basis_ref.T).max(initial=0.0) <= 1e-12
@@ -737,7 +742,10 @@ def _factor_steps(monkeypatch):
     """Record the Newton factorizations of every later solve: a list, one
     entry per interior-point step (the ball start's factor included), of
     [max L_ii / min L_ii of the factor used, whether a diagonal-shift
-    retry made it, number of solves with it]."""
+    retry made it, number of solves with it].  Only the factors of
+    ``_group_socp`` count, not those of the equality polish."""
+    import sys
+
     import scipy.linalg
 
     real = scipy.linalg.get_lapack_funcs
@@ -745,7 +753,7 @@ def _factor_steps(monkeypatch):
 
     def counting_funcs(names, arrays=()):
         funcs = real(names, arrays)
-        if names != ("potrf", "potrs"):
+        if names != ("potrf", "potrs") or sys._getframe(1).f_code.co_name != "_group_socp":
             return funcs
         potrf, potrs = funcs
 
@@ -947,6 +955,157 @@ def test_polish_stops_at_rounding(monkeypatch):
     assert np.abs(polished - c).max() <= 1e-12 * np.abs(c).max()
 
 
+# -- equality polish ---------------------------------------------------------------------
+
+def _wide_instance(kind, n_sub, d, k, m, s, seed):
+    """A wide equality program: ensemble and clean measurements of an
+    s-sparse signal on a random frame."""
+    fr = random_frame(n_sub, d, k, seed=seed)
+    e = draw_matrix(kind, m, n_sub, seed=seed + 1, frame=fr)
+    rng = np.random.default_rng(seed + 2)
+    assert m * d < n_sub * k
+    return e, e.measure(sparse_signal(fr, random_support(n_sub, s, rng), rng))
+
+
+def _record_equality_polish(monkeypatch):
+    """Record what every call of ``_polish_equality`` returns."""
+    import ffsparse.solver as solver
+
+    real, log = solver._polish_equality, []
+    monkeypatch.setattr(solver, "_polish_equality",
+                        lambda *args: log.append(real(*args)) or log[-1])
+    return log
+
+
+def _assert_equality_kkt(matrix, b, k, c, lam):
+    """Optimality of c for min sum_j ||c_j|| s.t. M c = b, from the
+    multiplier lam and the dense M, to 1e-10: M c = b, M_j^T lam is the
+    unit block c_j / ||c_j|| on the support and at most 1 in norm off it."""
+    assert np.abs(matrix @ c - b).max() <= 1e-10
+    blocks, duals = c.reshape(-1, k), (matrix.T @ lam).reshape(-1, k)
+    norms = np.linalg.norm(blocks, axis=1)
+    on = norms > 0
+    assert on.any()
+    assert np.abs(duals[on] - blocks[on] / norms[on, None]).max() <= 1e-10
+    assert (np.linalg.norm(duals[~on], axis=1) <= 1.0).all()
+
+
+@pytest.mark.parametrize("kind,shape", [
+    ("gaussian", (30, 4, 1, 5, 3)), ("bernoulli", (30, 4, 1, 5, 3)),
+    ("gaussian", (20, 6, 2, 4, 2)), ("bernoulli", (60, 6, 2, 3, 2)),
+    ("bernoulli", (60, 6, 2, 12, 4)), ("bernoulli", (20, 6, 3, 6, 3)),
+    ("gaussian", (20, 5, 3, 8, 4))])
+def test_equality_polish_is_optimal_on_random_instances(kind, shape, monkeypatch):
+    # every solve ends at a certified polish whose point and multiplier
+    # meet the optimality conditions, checked on the dense M, and whose
+    # objective is at most that of the same solve with every polish failing
+    import ffsparse.solver as solver
+
+    k = shape[2]
+    for seed in (3, 40, 77):
+        e, y = _wide_instance(kind, *shape, seed)
+        log = _record_equality_polish(monkeypatch)
+        report = solve_l1_equality(e, y)
+        assert report.converged and report.polish_attempts == len(log) >= 1
+        assert log[-1] is not None and all(point is None for point in log[:-1])
+        c, lam = log[-1]
+        _assert_equality_kkt(e.coefficient_matrix(), y.to_flat(), k, c, lam)
+        assert np.array_equal(report.x_hat.blocks, e.frame.expand(
+            BlockVector(c.reshape(-1, k))).blocks)
+        monkeypatch.setattr(solver, "_polish_equality", lambda *args: None)
+        unpolished = solve_l1_equality(e, y)
+        monkeypatch.undo()
+        assert unpolished.converged and report.iterations <= unpolished.iterations
+        assert report.objective <= unpolished.objective * (1.0 + 1e-12)
+
+
+def test_equality_polish_on_a_singular_active_gram(monkeypatch):
+    # Bernoulli m = 3: A has only four distinct columns up to sign, so the
+    # active 18 x 12 operator M_S has rank 8 and M_S^T M_S is singular; the
+    # one SVD of M_S still gives a point and multiplier, which are either
+    # certified, with every residual at most 1e-10 on the dense M, or refused
+    import ffsparse.solver as solver
+
+    real, attempts = solver._equality_on_active, []
+
+    def recording(c, b, k, restrict, adjoint, lam0, active):
+        attempts.append((restrict(active), real(c, b, k, restrict, adjoint, lam0, active)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(solver, "_equality_on_active", recording)
+    fr = random_frame(60, 6, 2, seed=2)
+    e = draw_matrix("bernoulli", 3, 60, seed=1002, frame=fr)
+    rng = np.random.default_rng(2)
+    y = e.measure(sparse_signal(fr, random_support(60, 3, rng), rng))
+    report = solve_l1_equality(e, y)
+    assert report.converged
+    singular = [(sub, out) for sub, out in attempts
+                if sub.shape[0] >= sub.shape[1] > np.linalg.matrix_rank(sub)]
+    assert singular
+    for sub, out in singular:
+        if out is not None:
+            _assert_equality_kkt(e.coefficient_matrix(), y.to_flat(), 2, *out)
+
+
+@pytest.mark.parametrize("kind,shape", [("bernoulli", (60, 6, 2, 3, 2)),
+                                        ("gaussian", (20, 6, 2, 4, 2))])
+def test_equality_solve_ends_at_the_first_certified_polish(kind, shape, monkeypatch):
+    # an equality step tries the polish once the gap is below sqrt(tol) of
+    # the objective and ends the solve at the first certified point; a solve
+    # whose attempts fail until its converging step polishes only there, and
+    # one whose every attempt fails returns its own iterate
+    import ffsparse.solver as solver
+
+    e, y = _wide_instance(kind, *shape, 5)
+    early = solve_l1_equality(e, y)
+    real, attempts = solver._polish_equality, []
+    monkeypatch.setattr(solver, "_polish_equality", lambda *args: attempts.append(args))
+    unpolished = solve_l1_equality(e, y)
+    assert len(attempts) >= 2 and unpolished.polish_attempts == len(attempts)
+    calls = itertools.count()
+    monkeypatch.setattr(solver, "_polish_equality", lambda *args: (
+        real(*args) if next(calls) == len(attempts) - 1 else None))
+    late = solve_l1_equality(e, y)
+    assert early.converged and late.converged and unpolished.converged
+    assert early.polish_attempts < late.polish_attempts == len(attempts)
+    assert early.iterations < late.iterations == unpolished.iterations
+    assert np.abs(early.x_hat.blocks - late.x_hat.blocks).max() <= 1e-9
+    assert not np.array_equal(late.x_hat.blocks, unpolished.x_hat.blocks)
+    assert abs(unpolished.objective - early.objective) <= 1e-8 * early.objective
+
+
+@pytest.mark.parametrize("shape", [(100, 12, 2, 16, 4), (60, 6, 2, 12, 3), (200, 3, 1, 50, 5)])
+def test_noisy_solve_with_a_tiny_ball_converges(shape):
+    # a radius of 1e-9 or less is lost in the rounding of M c - b: the
+    # ball's own steps ran to the iteration cap, with objectives up to 281
+    # times the optimum on the first shape and about twice it on the
+    # others at eta <= 3e-10.  The equality optimum, moved into the ball,
+    # is within tol of the ball's optimum by the duality bound
+    e, y = _wide_instance("gaussian", *shape, 11)
+    equality = solve_l1_equality(e, y)
+    for eta in (1e-9, 3e-10, 1e-10, 1e-12):
+        report = solve_l1_noisy(e, y, eta)
+        assert report.converged and report.iterations == equality.iterations
+        assert report.constraint_residual <= 1e-15
+        assert equality.objective * (1.0 - 1e-8) <= report.objective
+        assert report.objective <= equality.objective * (1.0 + 1e-12)
+
+
+def test_desk_noise_never_takes_the_tiny_ball_route(monkeypatch):
+    # sigma >= 0.02 makes the radius far larger than sqrt(tol) ||b||, so the
+    # desk's noisy solves run the ball program alone
+    import ffsparse.solver as solver
+
+    def unused(*args):
+        raise AssertionError("equality program run for a ball")
+
+    monkeypatch.setattr(solver, "_equality_parametrization", unused)
+    for trial in range(3):
+        _, e, sample, sigma = _desk_noisy_trial(1, 1, trial)
+        assert sigma == 0.02
+        assert solve_l1_noisy(e, sample.y, sigma).converged
+
+
 # -- stopping rule -----------------------------------------------------------------------
 
 def test_tolerances_govern_both_programs(monkeypatch):
@@ -1003,8 +1162,9 @@ def test_block_baseline_converges_on_an_ill_conditioned_trial():
 
 
 def test_block_baseline_never_builds_the_coefficient_matrix(monkeypatch):
-    # the baseline takes the identical-subspace route, and its residual is
-    # scale A X - Y of the estimate X
+    # the baseline takes the identical-subspace route, whose polish applies
+    # M_S and M^T lam from A, and its residual is scale A X - Y of the
+    # estimate X
     e, y, cfg = _ff_vs_block_instance(3)
 
     def unbuilt(self):
@@ -1014,7 +1174,7 @@ def test_block_baseline_never_builds_the_coefficient_matrix(monkeypatch):
     report = solve_block_baseline(e, y, cfg)
     monkeypatch.undo()
     dense = np.kron(e.scale * e.matrix, np.eye(3))
-    assert report.converged
+    assert report.converged and report.polish_attempts >= 1
     assert abs(report.constraint_residual
                - np.linalg.norm(dense @ report.x_hat.to_flat() - y.to_flat())) <= 1e-14
 
