@@ -1,81 +1,18 @@
 """Convex recovery programs for block-sparse signals over fusion frames.
 
-All programs minimize the mixed (2,1)-norm.  The subspace-membership
-constraint is eliminated by working in coefficient space (x_j = U_j c_j with
-orthonormal U_j), where the norm of a coefficient block equals the norm of
-its ambient block, so group basis pursuit on the coefficient matrix solves
-the constrained program exactly.
-
-Every program is the second-order cone program min sum_j t_j subject to
-||c_j|| <= t_j, and all of them run through one primal-dual interior-point
-method with Nesterov-Todd scaling and Mehrotra's predictor-corrector (Lobo,
-Vandenberghe, Boyd & Lebret 1998; Vandenberghe 2010, "The CVXOPT linear and
-quadratic cone program solvers").  The feasible set is written as
-c = c0 + B w:
-
-- equality program (M c = b): c0 = pinv(M) b and an orthonormal basis B of
-  the null space of M, so every iterate satisfies M c = b as exactly as c0
-  does; with an empty null space no iteration runs.  When every subspace
-  has the same basis U, M = scale (A kron U) and one SVD of scale A gives
-  both, with M's rank cutoff; the block baseline, the equality program over
-  the identity frame (U_j = I_d), takes this route and never builds M.
-  Otherwise a tall M (m d >= N k) takes c0 from a Cholesky factor of its
-  Gram and B empty, and a wide one a Householder QR M^T = Q [R1; 0] whose
-  reflectors, applied to [R1^-T b, 0; 0, I], give c0 and B without forming
-  Q; each factor is used only when LAPACK's reciprocal condition estimate
-  of it is at least 1e-8 (Bjorck 1996, "Numerical Methods for Least Squares
-  Problems").  Otherwise, rank-deficient operators included, one SVD of M
-  gives c0 and B with np.linalg.pinv's rank cutoff;
-- ball program (||M c - b|| <= radius): c0 = 0 and B = I, plus the one cone
-  of the residual ball, whose Newton matrices read M^T M from
-  ``ensemble.gram()``.  Radius 0 is the equality program.  The start
-  gives the ball cone the complementarity of all group cones together:
-  the smaller eigenvalue of its s o z is sum_j t_j = sum_j s_j^T z_j.
-  A radius of at most sqrt(tol) ||b|| is mostly rounding of M c - b, so
-  such a ball is first solved through the equality program, whose
-  certified optimum, moved into the ball, is returned when the duality
-  bound shows it tol-optimal (``_tiny_ball``).
-
-Both programs end at a certified polish (Ye 1992, "On the finite
-convergence of interior-point algorithms for linear programming"; Mehrotra
-& Ye 1993): once the duality gap is at most sqrt(tol) of the objective,
-every step first tries Newton steps on the optimality conditions over the
-iterate's active groups, read from its dual.  A polished point that meets
-every condition to 1e-10, recomputed from the point, is optimal, so it ends
-the solve, converged, at that step.  The ball polish (``_polish_ball``)
-solves for the point and the ball multiplier.  The equality polish
-(``_polish_equality``) minimizes sum_j ||c_j|| over M_S c_S = b, S the
-active groups, by one SVD of M_S and Newton steps in its null space, and
-certifies the point with a multiplier lam, M_j^T lam = c_j / ||c_j|| on S
-and ||M_j^T lam|| <= 1 off it, fitted to the iterate's dual through the
-factor its route holds: R1 on the QR route, the SVD of scale A on the
-identical-subspace route.  The Gram route takes no steps and the SVD of M
-has no polish.  A solve whose every attempt fails stops by the test below
-and returns its iterate.
-
-When ||b|| <= radius, c = 0 is feasible and optimal and no iteration runs.
-
-Each Newton step eliminates every group's epigraph variable t_j in closed
-form and factors one symmetric positive definite q x q matrix (q = columns
-of B), B^T D B plus M^T E M for the ball, in place with one Cholesky; a
-failed factorization rebuilds the matrix and retries with its diagonal
-shifted.  Of its two solves, the predictor only sets the step length and
-the second-order term and goes unrefined; the corrector gets one step of
-iterative refinement only after that shift or when the factor's diagonal
-spreads by 1e4 or more: then kappa >= 1e8 and kappa eps reaches the 1e-9
-tolerance (Higham 2002, "Accuracy and Stability of Numerical Algorithms",
-ch. 12).  A solve has converged when the primal residual relative to the
-norm of the cone constraints' constant part, the dual residual relative to
-the norm of the objective vector and the duality gap relative to the primal
-objective are all at most one tolerance, ``SolverConfig.tol``.  ``iterations``
-counts these interior-point steps.  A failed Cholesky factorization or a
-non-finite step ends the solve with the last finite iterate and
-converged=False.
+All programs minimize the mixed (2,1)-norm in coefficient space (x_j = U_j
+c_j with orthonormal U_j, so a coefficient block has the norm of its
+ambient block) as the second-order cone program min sum_j t_j subject to
+||c_j|| <= t_j, over c = c0 + B w (the equality program M c = b) or in
+the noise ball ||M c - b|| <= radius, with one primal-dual interior-point
+method (``_group_socp``).  Every solve that takes steps ends at a certified
+active-set polish, its program's ``polish(c, z)`` hook.  The README's
+Solver section describes the feasible-set routes, the start, the step, the
+stopping test and the polish, with the conditions each relies on.
 
 Every Cholesky factor here is potrf(a.T, lower=1) with potrs(..., lower=1),
-the triangle that single-threaded OpenBLAS factors faster (see README), and
-scipy.linalg is imported at the first factorization, so ``import ffsparse``
-does not load scipy.
+and scipy.linalg is imported at the first factorization, so ``import
+ffsparse`` does not load scipy.
 """
 
 from __future__ import annotations
@@ -153,15 +90,6 @@ def _svd_parts(matrix: np.ndarray, cutoff: float = 1e-15):
     return u[:, :rank], sing[:rank], vt[:rank], vt[rank:]
 
 
-def _affine_parametrization(matrix: np.ndarray, b: np.ndarray):
-    """(c0, B) with {c0 + B w} = {c : M c = b} (the least-squares set when b
-    is inconsistent): c0 = pinv(M) b and B (n x q) an orthonormal basis of
-    the null space of M, from one SVD (``_svd_parts``).  ``b`` is one
-    right-hand side or a matrix with one per column."""
-    u, sing, vt, null = _svd_parts(matrix)
-    return vt.T @ ((u.T @ b).T / sing).T, np.ascontiguousarray(null.T)
-
-
 # the smallest reciprocal condition estimate of a factor that gives c0 in
 # place of the SVD: the Gram squares the condition number of M, so the Gram
 # route admits M up to a condition number of about 1e4, where one refinement
@@ -215,16 +143,14 @@ def _qr_parametrization(matrix: np.ndarray, b: np.ndarray):
     return c0_basis[:, 0], np.ascontiguousarray(c0_basis[:, 1:]), r1
 
 
-def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
-                              matrix: Optional[np.ndarray], b: np.ndarray):
+def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector, b: np.ndarray):
     """(c0, B, polish) of the equality program's feasible set by the first
     route that applies: the SVD of scale A when all subspaces share one
     basis, the guarded Gram route for a tall coefficient matrix M, the
-    guarded QR route for a wide one, and the SVD of M.  ``polish(c, zeta)``
-    is ``_polish_equality`` on the route's own operator and factor, None on
-    the Gram route (no steps) and the SVD of M.  A ``matrix`` of None is the
-    ensemble's M, built only when a route after the first needs it."""
-    bases = ensemble.frame.bases
+    guarded QR route for a wide one, and the SVD of M.  ``polish`` is
+    ``_equality_polish`` on the route's own operator and factor, None on the
+    Gram route, which takes no steps."""
+    bases, k = ensemble.frame.bases, ensemble.frame.dim_subspace
     if (bases == bases[0]).all():
         # M = scale (A kron U): M_S and M^T lam from A, and the least-squares
         # lam0 with M^T lam0 = -zeta from the SVD of scale A, since
@@ -232,17 +158,16 @@ def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
         basis, scaled = bases[0], ensemble.scale * ensemble.matrix
         u, sing, vt, null = _svd_parts(scaled)
         c0 = vt.T @ ((u.T @ (y.blocks @ basis)).T / sing).T
+        return c0.ravel(), np.kron(null.T, np.eye(k)), _equality_polish(
+            b, k, lambda active: np.kron(scaled[:, active], basis),
+            lambda lam: (scaled.T @ lam.reshape(-1, basis.shape[0]) @ basis).ravel(),
+            lambda zeta: -(u @ ((vt @ zeta.reshape(-1, k)).T / sing).T @ basis.T).ravel())
+    matrix = ensemble.coefficient_matrix()
 
-        def polish(c, zeta):
-            return _polish_equality(
-                c, zeta, b, basis.shape[1],
-                lambda active: np.kron(scaled[:, active], basis),
-                lambda lam: (scaled.T @ lam.reshape(-1, basis.shape[0]) @ basis).ravel(),
-                -(u @ ((vt @ zeta.reshape(-1, basis.shape[1])).T / sing).T @ basis.T).ravel())
+    def dense_polish(fit):
+        return _equality_polish(b, k, lambda active: matrix[:, np.repeat(active, k)],
+                                lambda lam: matrix.T @ lam, fit)
 
-        return c0.ravel(), np.kron(null.T, np.eye(basis.shape[1])), polish
-    if matrix is None:
-        matrix = ensemble.coefficient_matrix()
     if matrix.shape[0] >= matrix.shape[1]:
         c0 = _gram_solution(ensemble.gram(), ensemble.coefficient_adjoint(y), matrix, b)
         if c0 is not None:
@@ -253,17 +178,14 @@ def _equality_parametrization(ensemble: MeasurementEnsemble, y: BlockVector,
             import scipy.linalg
 
             c0, basis, r1 = parametrization
-            trtrs, k = scipy.linalg.get_lapack_funcs("trtrs", (r1,)), ensemble.frame.dim_subspace
-
-            def polish(c, zeta):
-                # M M^T = R1^T R1: lam0 = -(M M^T)^-1 M zeta by two triangular solves
-                lam0 = -trtrs(r1, trtrs(r1, matrix @ zeta, trans=1)[0])[0]
-                return _polish_equality(c, zeta, b, k,
-                                        lambda active: matrix[:, np.repeat(active, k)],
-                                        lambda lam: matrix.T @ lam, lam0)
-
-            return c0, basis, polish
-    return (*_affine_parametrization(matrix, b), None)
+            trtrs = scipy.linalg.get_lapack_funcs("trtrs", (r1,))
+            # M M^T = R1^T R1: lam0 = -(M M^T)^-1 M zeta by two triangular solves
+            return c0, basis, dense_polish(
+                lambda zeta: -trtrs(r1, trtrs(r1, matrix @ zeta, trans=1)[0])[0])
+    # c0 = pinv(M) b, and lam0 = -pinv(M^T) zeta as on the first route
+    u, sing, vt, null = _svd_parts(matrix)
+    return (vt.T @ ((u.T @ b) / sing), np.ascontiguousarray(null.T),
+            dense_polish(lambda zeta: -(u @ ((vt @ zeta) / sing))))
 
 
 class _Cones:
@@ -336,8 +258,8 @@ _REFINE_SPREAD = 1e4
 
 class _Solution(NamedTuple):
     """What ``_group_socp`` returns: the point, the interior-point steps
-    taken, whether it converged, the polish attempts, and the multiplier
-    lam of a certified equality polish (None otherwise)."""
+    taken, whether it converged, the polish attempts, and the multiplier of
+    a certified polish (lam of an equality polish, None otherwise)."""
 
     c: np.ndarray
     iterations: int
@@ -347,15 +269,14 @@ class _Solution(NamedTuple):
 
 
 def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
-                cfg: SolverConfig, matrix: Optional[np.ndarray] = None,
+                cfg: SolverConfig, polish, matrix: Optional[np.ndarray] = None,
                 b: Optional[np.ndarray] = None, radius: float = 0.0,
-                gram: Optional[np.ndarray] = None, polish=None) -> _Solution:
+                gram: Optional[np.ndarray] = None) -> _Solution:
     """min sum_j ||c_j||_2 over c = c0 + basis @ w, or, given a matrix and
     its Gram matrix^T matrix (the ball program, basis None for B = I),
-    subject to ||matrix @ c - b||_2 <= radius.  ``polish(c, zeta)`` is the
-    equality program's ``_polish_equality`` on its route's operator, zeta
-    the group cones' dual tails; the ball program polishes with
-    ``_polish_ball``.
+    subject to ||matrix @ c - b||_2 <= radius.  ``polish(c, z)``, z the
+    dual point, returns a certified (point, multiplier) or None: the
+    program's ``_equality_polish`` or ``_ball_polish``.
 
     Variables x = (w, t); the cone constraints are s = h - G x in the cone
     product, s_j = (t_j, c_j) per group and s_ball = (radius, M c - b).
@@ -441,17 +362,11 @@ def _group_socp(c0: np.ndarray, basis: Optional[np.ndarray], block_len: int,
         zw, zt = lift_t(z)
         r_w, r_t = -zw, 1.0 - zt
         gap = float(s @ z)
-        if (ball or polish is not None) and gap <= polish_gap * float(t.sum()):
+        if gap <= polish_gap * float(t.sum()):
             attempts += 1
-            if ball:
-                # the ball multiplier: z_ball = (zeta, -zeta (M c - b) / radius) at the optimum
-                polished = _polish_ball(c, matrix, b, radius, k, z[ng] / radius)
-                if polished is not None:
-                    return _Solution(polished, it, True, attempts)
-            else:
-                certified = polish(c, z[tails])
-                if certified is not None:
-                    return _Solution(certified[0], it, True, attempts, certified[1])
+            certified = polish(c, z)
+            if certified is not None:
+                return _Solution(certified[0], it, True, attempts, certified[1])
         if (_norm(r_z) <= cfg.tol * h_norm
                 and math.hypot(_norm(r_w), _norm(r_t)) <= cfg.tol * q_norm
                 and gap <= cfg.tol * float(t.sum())):
@@ -630,35 +545,45 @@ def _norm_hessian(unit: np.ndarray, block_norms: np.ndarray) -> np.ndarray:
     return (np.eye(k) - unit[:, :, None] * unit[:, None, :]) / block_norms[:, None, None]
 
 
-def _polish_ball(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float,
-                 block_len: int, nu: float) -> Optional[np.ndarray]:
-    """Newton's method on the optimality conditions of the ball program over
-    the groups active at c: c_j / ||c_j|| + nu M_j^T r = 0 and ||r|| = radius,
-    with r = M c - b and the multiplier nu > 0.
-
-    An interior-point iterate lies only about sqrt(gap) from the minimizer
-    along the curved boundary of the ball, while these conditions are smooth
-    wherever ||c_j|| > 0, so a few steps (``_newton``) reach the minimizer
-    to rounding.  The active groups are read from the iterate's dual scores:
-    a group is kept when its relative block norm exceeds its dual slack
-    1 - nu ||M_j^T r||, so a small block whose score is clearly below 1 is
-    dropped and one whose score is above 1 kept.  When that set fails, the
-    one retry takes the groups above 1e-6 of the largest block norm.
-    Returns the polished point, with inactive groups exactly 0, when it
-    meets every optimality condition (nu ||M_j^T r|| <= 1 off the active
-    groups included), else None."""
-    k = block_len
+def _polish(c: np.ndarray, k: int, slack: np.ndarray, on_active):
+    """The active-set rule of both polishes: ``on_active(active)`` on the
+    groups whose block norm, relative to the largest, exceeds their dual
+    slack, so a small block whose dual score is clearly below 1 is dropped
+    and one whose score is above 1 kept; when that fails and the groups
+    above 1e-6 of the largest block norm differ from it, the one retry takes
+    them.  Returns a certified (point, multiplier) or None."""
     norms = np.linalg.norm(c.reshape(-1, k), axis=1)
-    slack = 1.0 - nu * np.linalg.norm((matrix.T @ (matrix @ c - b)).reshape(-1, k), axis=1)
-    polished = _newton_on_active(c, matrix, b, radius, k, nu, norms / norms.max() > slack)
-    if polished is None:
-        polished = _newton_on_active(c, matrix, b, radius, k, nu, norms > 1e-6 * norms.max())
-    return polished
+    active = norms / norms.max() > slack
+    certified = on_active(active)
+    retry = norms > 1e-6 * norms.max()
+    if certified is None and (retry != active).any():
+        certified = on_active(retry)
+    return certified
+
+
+def _ball_polish(matrix: np.ndarray, b: np.ndarray, radius: float, k: int):
+    """The ball program's polish hook: ``_newton_on_active`` on the groups
+    of ``_polish``, with the multiplier nu read from the ball cone's dual
+    head, z_ball = (nu radius, -nu r) at the optimum (r = M c - b), and
+    group j's dual slack 1 - nu ||M_j^T r||."""
+
+    def polish(c, z):
+        nu = z[c.size // k * (k + 1)] / radius  # the head of z_ball, after the N group cones
+        slack = 1.0 - nu * np.linalg.norm((matrix.T @ (matrix @ c - b)).reshape(-1, k), axis=1)
+        return _polish(c, k, slack,
+                       lambda active: _newton_on_active(c, matrix, b, radius, k, nu, active))
+
+    return polish
 
 
 def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: float,
-                      k: int, nu: float, active: np.ndarray) -> Optional[np.ndarray]:
-    """The Newton iteration of ``_polish_ball`` on the given active groups."""
+                      k: int, nu: float, active: np.ndarray):
+    """Newton's method (``_newton``) on the optimality conditions of the
+    ball program over the given active groups: c_j / ||c_j|| + nu M_j^T r
+    = 0 and ||r|| = radius, with r = M c - b and the multiplier nu > 0.
+    Returns (point, None), inactive groups exactly 0, when the point meets
+    every condition, nu ||M_j^T r|| <= 1 off the active groups included,
+    else None."""
     cols = np.flatnonzero(np.repeat(active, k))
     sub = matrix[:, cols]
     gram = sub.T @ sub
@@ -695,36 +620,31 @@ def _newton_on_active(c: np.ndarray, matrix: np.ndarray, b: np.ndarray, radius: 
     off = np.linalg.norm((matrix.T @ r).reshape(-1, k)[~active], axis=1)
     if not (best_x[-1] * off <= 1.0).all():
         return None
-    return polished
+    return polished, None
 
 
-def _polish_equality(c: np.ndarray, zeta: np.ndarray, b: np.ndarray, block_len: int,
-                     restrict, adjoint, lam0: np.ndarray):
-    """The equality program's polish: the minimizer of sum_j ||c_j|| subject
-    to M_S c_S = b over the groups S active at the iterate c, and a
-    multiplier lam that certifies it optimal for the whole program.
+def _equality_polish(b: np.ndarray, k: int, restrict, adjoint, fit):
+    """The equality program's polish hook on a route's operator:
+    ``_equality_on_active`` on the groups of ``_polish``, with zeta the
+    group cones' dual tails, group j's dual slack 1 - ||zeta_j||, and lam0
+    = ``fit(zeta)``, the least-squares fit of M^T lam0 = -zeta from the
+    factor the route holds.  ``restrict(active)`` is M_S and
+    ``adjoint(lam)`` is M^T lam."""
 
-    ``restrict(active)`` is M_S, ``adjoint(lam)`` is M^T lam, ``zeta`` the
-    group cones' dual tails and ``lam0`` the least-squares fit of M^T lam0
-    = -zeta, from the factor the route holds.  S is read from the dual
-    scores as in ``_polish_ball``: group j is kept when ||c_j|| / max ||c||
-    exceeds its dual slack 1 - ||zeta_j||; when that set fails, the one
-    retry, if it differs, takes the groups above 1e-6 of the largest block
-    norm.  Returns (c, lam) when ``_equality_on_active`` certifies the
-    point, else None."""
-    k = block_len
-    norms = np.linalg.norm(c.reshape(-1, k), axis=1)
-    active = norms / norms.max() > 1.0 - np.linalg.norm(zeta.reshape(-1, k), axis=1)
-    certified = _equality_on_active(c, b, k, restrict, adjoint, lam0, active)
-    retry = norms > 1e-6 * norms.max()
-    if certified is None and (retry != active).any():
-        certified = _equality_on_active(c, b, k, restrict, adjoint, lam0, retry)
-    return certified
+    def polish(c, z):
+        zeta = z.reshape(-1, k + 1)[:, 1:].ravel()
+        lam0 = fit(zeta)
+        return _polish(c, k, 1.0 - np.linalg.norm(zeta.reshape(-1, k), axis=1),
+                       lambda active: _equality_on_active(c, b, k, restrict, adjoint, lam0, active))
+
+    return polish
 
 
 def _equality_on_active(c: np.ndarray, b: np.ndarray, k: int, restrict, adjoint,
                         lam0: np.ndarray, active: np.ndarray):
-    """The polish of ``_polish_equality`` on the given active groups.
+    """The minimizer of sum_j ||c_j|| subject to M_S c_S = b over the
+    given active groups S, and a multiplier lam that certifies it optimal
+    for the whole program.
 
     One SVD of M_S (rank cutoff max(shape) eps sigma_max, as
     np.linalg.matrix_rank) gives the least-norm c_p, the consistency check
@@ -798,19 +718,22 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
     frame, block_len = ensemble.frame, ensemble.frame.dim_subspace
     size, b = ensemble.n * block_len, y.to_flat()
     radius = radius or 0.0
-    if _norm(b) <= radius:  # c = 0 is feasible, so it is optimal
-        solution = _Solution(np.zeros(size), 0, True)
-    elif radius > 0.0:
-        solution = _tiny_ball(ensemble, y, b, radius, cfg)
-        if not solution.converged:  # the ball program, counting the steps spent above
-            ball = _group_socp(np.zeros(size), None, block_len, cfg,
-                               ensemble.coefficient_matrix(), b, radius, ensemble.gram())
-            solution = ball._replace(
-                iterations=solution.iterations + ball.iterations,
-                polish_attempts=solution.polish_attempts + ball.polish_attempts)
-    else:
-        c0, basis, polish = _equality_parametrization(ensemble, y, None, b)
-        solution = _group_socp(c0, basis, block_len, cfg, polish=polish)
+    # c = 0 is optimal when it is feasible; radius 0 is the equality program,
+    # and a ball of radius at most sqrt(tol) ||b|| starts from its optimum
+    solution = _Solution(np.zeros(size), 0, _norm(b) <= radius)
+    if not solution.converged and radius <= math.sqrt(cfg.tol) * _norm(b):
+        c0, basis, polish = _equality_parametrization(ensemble, y, b)
+        solution = _group_socp(c0, basis, block_len, cfg, polish)
+        if radius > 0.0:
+            solution = _tiny_ball(ensemble, b, radius, cfg, solution)
+    if radius > 0.0 and not solution.converged:  # the ball program, counting the steps spent above
+        matrix = ensemble.coefficient_matrix()
+        ball = _group_socp(np.zeros(size), None, block_len, cfg,
+                           _ball_polish(matrix, b, radius, block_len), matrix, b, radius,
+                           ensemble.gram())
+        solution = ball._replace(
+            iterations=solution.iterations + ball.iterations,
+            polish_attempts=solution.polish_attempts + ball.polish_attempts)
     x_hat = frame.expand(BlockVector(solution.c.reshape(ensemble.n, block_len)))
     misfit = ensemble.scale * (ensemble.matrix @ x_hat.blocks) - y.blocks
     return SolveReport(
@@ -824,11 +747,11 @@ def _solve(ensemble: MeasurementEnsemble, y: BlockVector, config: Optional[Solve
     )
 
 
-def _tiny_ball(ensemble: MeasurementEnsemble, y: BlockVector, b: np.ndarray, radius: float,
-               cfg: SolverConfig) -> _Solution:
-    """The ball program through the equality program when the radius is at
-    most sqrt(tol) ||b||, where the rounding of M c - b is a sizeable part
-    of the radius and the ball's own steps stall.
+def _tiny_ball(ensemble: MeasurementEnsemble, b: np.ndarray, radius: float, cfg: SolverConfig,
+               solution: _Solution) -> _Solution:
+    """The equality program's ``solution`` moved into a ball whose radius is
+    at most sqrt(tol) ||b||, where the rounding of M c - b is a sizeable
+    part of the radius and the ball's own steps stall.
 
     For every dual point lam (||M_j^T lam|| <= 1 for all j), every c' in the
     ball has sum_j ||c'_j|| >= lam^T M c' >= lam^T b - radius ||lam||, so a
@@ -842,13 +765,9 @@ def _tiny_ball(ensemble: MeasurementEnsemble, y: BlockVector, b: np.ndarray, rad
     quantity is recomputed.  The returned solution is converged only when a
     pair passes; otherwise it carries the steps and attempts spent, and the
     ball program runs."""
-    if not radius <= math.sqrt(cfg.tol) * _norm(b):
-        return _Solution(None, 0, False)
-    k, matrix = ensemble.frame.dim_subspace, ensemble.coefficient_matrix()
-    c0, basis, polish = _equality_parametrization(ensemble, y, matrix, b)
-    solution = _group_socp(c0, basis, k, cfg, polish=polish)
     if solution.multiplier is None:
         return solution._replace(converged=False)
+    k, matrix = ensemble.frame.dim_subspace, ensemble.coefficient_matrix()
     c = solution.c
     norms = np.linalg.norm(c.reshape(-1, k), axis=1)
     cols = np.flatnonzero(np.repeat(norms > 0, k))

@@ -362,10 +362,26 @@ def test_l1_objective_matches_oracle_on_tiny_instances():
 
 # -- feasible-set parametrization ----------------------------------------------------------
 
-def _distinct_subspaces():
-    """An ensemble whose two subspaces differ, so that a matrix passed with
-    it to _equality_parametrization takes the route of its own shape."""
-    return draw_matrix("gaussian", 1, 2, seed=0, frame=random_frame(2, 2, 1, seed=0))
+def _affine_parametrization(matrix, b):
+    """The dense reference (c0, B): c0 = pinv(M) b and B an orthonormal
+    basis of the null space of M, from one SVD (``_svd_parts``), as the
+    equality program's last route computes them."""
+    from ffsparse.solver import _svd_parts
+
+    u, sing, vt, null = _svd_parts(matrix)
+    return vt.T @ ((u.T @ b) / sing), np.ascontiguousarray(null.T)
+
+
+def _signed_ensemble(a, b):
+    """(ensemble, y, M, b) for the Gaussian-kind matrix ``a`` over d = k = 1
+    with bases +-1, not all equal, so that M = scale A diag(+-1) takes the
+    route of its own shape, and y the measurements b as (m, 1) blocks."""
+    from ffsparse import FusionFrame
+
+    signs = np.where(np.arange(a.shape[1]) % 2, -1.0, 1.0)
+    e = MeasurementEnsemble(a, "gaussian", FusionFrame(signs.reshape(-1, 1, 1)))
+    y = BlockVector(b.reshape(-1, 1))
+    return e, y, e.coefficient_matrix(), y.to_flat()
 
 
 @pytest.mark.parametrize("shape,duplicate",
@@ -375,22 +391,19 @@ def test_affine_step_matches_pinv_projection(shape, duplicate):
     # and wide: {c0 + B w} is {c : M c = b}, and c0 + B B^T v its projection
     # of v; a wide M also runs through the equality program's routes, where
     # full rank takes the QR route and repeated rows the SVD, bit for bit
-    from ffsparse.solver import (
-        _affine_parametrization, _equality_parametrization, _qr_parametrization,
-    )
+    from ffsparse.solver import _equality_parametrization, _qr_parametrization
 
     rng = np.random.default_rng(sum(shape) + duplicate)
     rows, cols = shape
-    matrix = rng.standard_normal((rows - duplicate, cols)) / np.sqrt(rows)
-    matrix = np.vstack([matrix, matrix[:duplicate]])
-    b = rng.standard_normal(rows)
+    a = rng.standard_normal((rows - duplicate, cols))
+    e, y, matrix, b = _signed_ensemble(np.vstack([a, a[:duplicate]]), rng.standard_normal(rows))
     v = rng.standard_normal(cols)
     pinv = np.linalg.pinv(matrix)
     expected = (np.eye(cols) - pinv @ matrix) @ v + pinv @ b
     svd = _affine_parametrization(matrix, b)
     results = [svd]
     if rows < cols:
-        results.append(_equality_parametrization(_distinct_subspaces(), None, matrix, b)[:2])
+        results.append(_equality_parametrization(e, y, b)[:2])
         qr = _qr_parametrization(matrix, b)
         if duplicate:
             assert qr is None
@@ -434,20 +447,20 @@ def test_qr_route_from_reflectors(shape):
 def test_ill_conditioned_wide_equality_falls_back_to_the_svd():
     # two rows 1e-10 apart: M has full rank for the SVD's cutoff, but the
     # condition estimate of R1 is below 1e-8, so the SVD's result comes back,
-    # with no polish
+    # with the route's polish
     import scipy.linalg
 
-    from ffsparse.solver import _affine_parametrization, _equality_parametrization
+    from ffsparse.solver import _equality_parametrization
 
     rng = np.random.default_rng(75)
-    matrix = rng.standard_normal((8, 15))
-    matrix[7] = matrix[0] + 1e-10 * rng.standard_normal(15)
-    b = rng.standard_normal(8)
+    a = rng.standard_normal((8, 15))
+    a[7] = a[0] + 1e-10 * rng.standard_normal(15)
+    e, y, matrix, b = _signed_ensemble(a, rng.standard_normal(8))
     r1 = np.linalg.qr(matrix.T)[1]
     assert scipy.linalg.get_lapack_funcs("trcon", (r1,))(r1)[0] < 1e-8
-    c0, basis, polish = _equality_parametrization(_distinct_subspaces(), None, matrix, b)
+    c0, basis, polish = _equality_parametrization(e, y, b)
     c_ref, basis_ref = _affine_parametrization(matrix, b)
-    assert basis.shape == (15, 7) and polish is None
+    assert basis.shape == (15, 7) and polish is not None
     assert np.array_equal(c0, c_ref) and np.array_equal(basis, basis_ref)
 
 
@@ -460,7 +473,7 @@ def test_tall_equality_takes_the_gram_route():
     y = e.measure(sparse_signal(fr, random_support(20, 3, rng), rng))
     matrix, b = e.coefficient_matrix(), y.to_flat()
     assert matrix.shape == (150, 40)
-    c0, basis, polish = _equality_parametrization(e, y, matrix, b)
+    c0, basis, polish = _equality_parametrization(e, y, b)
     assert basis.shape == (40, 0) and polish is None  # no steps, so no polish
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -487,7 +500,7 @@ def test_rank_deficient_tall_equality_falls_back_to_the_svd():
     from ffsparse.solver import _equality_parametrization
 
     e, y, matrix, b = _twin_block_ensemble(0.0)
-    c0, basis, _ = _equality_parametrization(e, y, matrix, b)
+    c0, basis, _ = _equality_parametrization(e, y, b)
     expected = np.linalg.pinv(matrix) @ b
     assert np.abs(c0 - expected).max() <= 1e-12 * np.abs(expected).max()
     assert basis.shape == (12, 2)
@@ -503,11 +516,11 @@ def test_ill_conditioned_tall_equality_falls_back_to_the_svd():
     # unchanged
     import scipy.linalg
 
-    from ffsparse.solver import _affine_parametrization, _equality_parametrization
+    from ffsparse.solver import _equality_parametrization
 
     e, y, matrix, b = _twin_block_ensemble(1e-5)
     assert scipy.linalg.get_lapack_funcs("potrf", (e.gram(),))(e.gram())[1] == 0
-    c0, basis, _ = _equality_parametrization(e, y, matrix, b)
+    c0, basis, _ = _equality_parametrization(e, y, b)
     assert np.array_equal(c0, _affine_parametrization(matrix, b)[0])
     assert basis.shape == (12, 0)
 
@@ -545,12 +558,12 @@ def test_baseline_parametrization_matches_dense_svd(name, m, monkeypatch):
     svd, calls = solver._svd_parts, []
     monkeypatch.setattr(solver, "_svd_parts",
                         lambda mat: calls.append((mat.shape, svd(mat))) or calls[-1][1])
-    c0, basis, _ = solver._equality_parametrization(e, y, matrix, b)
+    c0, basis, _ = solver._equality_parametrization(e, y, b)
     assert [shape for shape, _ in calls] == [(m, fr.n_subspaces)]
     null = calls[0][1][3].T
     assert np.array_equal(basis, np.kron(null, np.eye(fr.dim_subspace)))
     monkeypatch.undo()
-    c_ref, basis_ref = solver._affine_parametrization(matrix, b)
+    c_ref, basis_ref = _affine_parametrization(matrix, b)
     assert np.abs(c0 - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
     assert basis.shape == basis_ref.shape
     assert np.abs(basis @ basis.T - basis_ref @ basis_ref.T).max(initial=0.0) <= 1e-12
@@ -862,18 +875,18 @@ def test_ball_solve_ends_at_the_first_certified_polish(n_sub, m, monkeypatch):
 
     _, e, _, sample = _noisy_instance(n_sub, m)
     early = solve_l1_noisy(e, sample.y, 0.03)
-    real = solver._polish_ball
+    real = solver._polish
     attempts = []
 
     def failing(*args):
         attempts.append(args)
         return None
 
-    monkeypatch.setattr(solver, "_polish_ball", failing)
+    monkeypatch.setattr(solver, "_polish", failing)
     unpolished = solve_l1_noisy(e, sample.y, 0.03)
     assert len(attempts) >= 2
     calls = itertools.count()
-    monkeypatch.setattr(solver, "_polish_ball", lambda *args: (
+    monkeypatch.setattr(solver, "_polish", lambda *args: (
         real(*args) if next(calls) == len(attempts) - 1 else None))
     late = solve_l1_noisy(e, sample.y, 0.03)
     assert early.converged and late.converged and unpolished.converged
@@ -915,21 +928,21 @@ def test_polish_gives_up_on_a_diverging_active_set(monkeypatch):
     import ffsparse.solver as solver
 
     _, e, sample, sigma = _desk_noisy_trial(1, 3, 0)
-    real, attempts = solver._polish_ball, []
+    real, attempts = solver._polish, []
 
     def recording(*args):
         attempts.append(args)
         return real(*args)
 
-    monkeypatch.setattr(solver, "_polish_ball", recording)
+    monkeypatch.setattr(solver, "_polish", recording)
     log = _recording_newton_on_active(monkeypatch)
     report = solve_l1_noisy(e, sample.y, sigma)
     assert report.converged
     assert log[0][1] is True and log[0][0] <= 5
-    c, matrix, b, radius, k, nu = attempts[0]
+    c, k, _, on_active = attempts[0]  # on_active(active) is _newton_on_active on the set
     norms = np.linalg.norm(c.reshape(-1, k), axis=1)
     cut = norms > 1e-6 * norms.max()
-    assert solver._newton_on_active(c, matrix, b, radius, k, nu, cut) is None
+    assert on_active(cut) is None
     assert log[-1][0] <= 2
 
 
@@ -950,9 +963,35 @@ def test_polish_stops_at_rounding(monkeypatch):
     start = c + 1e-4 * np.abs(c).max() * np.repeat(active, 2) \
         * np.random.default_rng(0).standard_normal(20)
     log = _recording_newton_on_active(monkeypatch)
-    polished = solver._newton_on_active(start, matrix, b, radius, 2, nu, active)
+    polished, multiplier = solver._newton_on_active(start, matrix, b, radius, 2, nu, active)
     assert log[0][1] is True and log[0][0] <= 5 < solver._POLISH_STEPS - 1
+    assert multiplier is None
     assert np.abs(polished - c).max() <= 1e-12 * np.abs(c).max()
+
+
+def test_ball_polish_retries_only_a_different_set(monkeypatch):
+    # with nu = 2 / min_j ||M_j^T r|| every dual slack 1 - nu ||M_j^T r|| is
+    # at most -1, so the dual scores keep every group; when every block is
+    # also above 1e-6 of the largest, the norm cut is the same set and a
+    # failing Newton iteration is not run on it again.  With one block
+    # 1e-9 of the others, the norm cut drops it and is tried second
+    import ffsparse.solver as solver
+    from ffsparse.measurement import noise_radius
+
+    _, e, _, sample = _noisy_instance(10, 3)
+    matrix, b, radius = e.coefficient_matrix(), sample.y.to_flat(), noise_radius(0.03, 3)
+    c = np.random.default_rng(0).standard_normal(20)
+    sets = []
+    monkeypatch.setattr(solver, "_newton_on_active", lambda *args: sets.append(args[-1]))
+    z = np.zeros(10 * 3 + matrix.shape[0] + 1)  # the ball cone's dual head sits at N (k + 1)
+    for tiny in (False, True):
+        c[:2] *= 1e-9 if tiny else 1.0
+        scores = np.linalg.norm((matrix.T @ (matrix @ c - b)).reshape(10, 2), axis=1)
+        z[30] = 2.0 * radius / scores.min()
+        sets.clear()
+        assert solver._ball_polish(matrix, b, radius, 2)(c, z) is None
+        assert len(sets) == 1 + tiny and sets[0].all()
+    assert not sets[1][0] and sets[1][1:].all()
 
 
 # -- equality polish ---------------------------------------------------------------------
@@ -968,11 +1007,11 @@ def _wide_instance(kind, n_sub, d, k, m, s, seed):
 
 
 def _record_equality_polish(monkeypatch):
-    """Record what every call of ``_polish_equality`` returns."""
+    """Record what every polish (``_polish``) returns."""
     import ffsparse.solver as solver
 
-    real, log = solver._polish_equality, []
-    monkeypatch.setattr(solver, "_polish_equality",
+    real, log = solver._polish, []
+    monkeypatch.setattr(solver, "_polish",
                         lambda *args: log.append(real(*args)) or log[-1])
     return log
 
@@ -1012,7 +1051,7 @@ def test_equality_polish_is_optimal_on_random_instances(kind, shape, monkeypatch
         _assert_equality_kkt(e.coefficient_matrix(), y.to_flat(), k, c, lam)
         assert np.array_equal(report.x_hat.blocks, e.frame.expand(
             BlockVector(c.reshape(-1, k))).blocks)
-        monkeypatch.setattr(solver, "_polish_equality", lambda *args: None)
+        monkeypatch.setattr(solver, "_polish", lambda *args: None)
         unpolished = solve_l1_equality(e, y)
         monkeypatch.undo()
         assert unpolished.converged and report.iterations <= unpolished.iterations
@@ -1058,12 +1097,12 @@ def test_equality_solve_ends_at_the_first_certified_polish(kind, shape, monkeypa
 
     e, y = _wide_instance(kind, *shape, 5)
     early = solve_l1_equality(e, y)
-    real, attempts = solver._polish_equality, []
-    monkeypatch.setattr(solver, "_polish_equality", lambda *args: attempts.append(args))
+    real, attempts = solver._polish, []
+    monkeypatch.setattr(solver, "_polish", lambda *args: attempts.append(args))
     unpolished = solve_l1_equality(e, y)
     assert len(attempts) >= 2 and unpolished.polish_attempts == len(attempts)
     calls = itertools.count()
-    monkeypatch.setattr(solver, "_polish_equality", lambda *args: (
+    monkeypatch.setattr(solver, "_polish", lambda *args: (
         real(*args) if next(calls) == len(attempts) - 1 else None))
     late = solve_l1_equality(e, y)
     assert early.converged and late.converged and unpolished.converged
@@ -1074,14 +1113,56 @@ def test_equality_solve_ends_at_the_first_certified_polish(kind, shape, monkeypa
     assert abs(unpolished.objective - early.objective) <= 1e-8 * early.objective
 
 
-@pytest.mark.parametrize("shape", [(100, 12, 2, 16, 4), (60, 6, 2, 12, 3), (200, 3, 1, 50, 5)])
+def _rank_deficient_instance(shape):
+    """The Bernoulli instance of ``ffsparse solve`` at (N, d, k, m, s) with
+    frame, matrix and signal seed 0, and its coefficient matrix M.
+    (7, 2, 1, 2, 1): M is 4 x 7 of rank 3, so the QR route refuses it;
+    (7, 3, 2, 5, 1): M is 15 x 14 of rank 11, so the Gram route refuses it."""
+    from ffsparse.experiments import seeded_instance
+    from ffsparse.solver import _gram_solution, _qr_parametrization
+
+    n_sub, d, k, m, s = shape
+    _, x, e = seeded_instance(random_frame(n_sub, d, k, seed=0), "bernoulli", m, s, 0)
+    y = e.measure(x)
+    matrix, b = e.coefficient_matrix(), y.to_flat()
+    assert np.linalg.matrix_rank(matrix) < min(matrix.shape)
+    if matrix.shape[0] < matrix.shape[1]:
+        assert _qr_parametrization(matrix, b) is None
+    else:
+        assert _gram_solution(e.gram(), e.coefficient_adjoint(y), matrix, b) is None
+    return e, y, matrix
+
+
+_RANK_DEFICIENT = [(7, 2, 1, 2, 1), (7, 3, 2, 5, 1)]
+
+
+@pytest.mark.parametrize("shape", _RANK_DEFICIENT)
+def test_rank_deficient_equality_ends_at_a_certified_polish(shape, monkeypatch):
+    # the SVD of M, the route of rank-deficient operators, polishes like the
+    # others: the solve ends at a certified point and multiplier, checked
+    # on the dense M
+    e, y, matrix = _rank_deficient_instance(shape)
+    log = _record_equality_polish(monkeypatch)
+    report = solve_l1_equality(e, y)
+    assert report.converged and report.polish_attempts == len(log) >= 1
+    assert log[-1] is not None
+    _assert_equality_kkt(matrix, y.to_flat(), shape[2], *log[-1])
+
+
+@pytest.mark.parametrize("shape", [(100, 12, 2, 16, 4), (60, 6, 2, 12, 3), (200, 3, 1, 50, 5)]
+                         + _RANK_DEFICIENT)
 def test_noisy_solve_with_a_tiny_ball_converges(shape):
     # a radius of 1e-9 or less is lost in the rounding of M c - b: the
     # ball's own steps ran to the iteration cap, with objectives up to 281
     # times the optimum on the first shape and about twice it on the
     # others at eta <= 3e-10.  The equality optimum, moved into the ball,
-    # is within tol of the ball's optimum by the duality bound
-    e, y = _wide_instance("gaussian", *shape, 11)
+    # is within tol of the ball's optimum by the duality bound; on the
+    # rank-deficient operators it comes from the SVD route's polish, without
+    # which eta <= 1e-10 ran to the cap at up to 1.013 times the optimum
+    if shape in _RANK_DEFICIENT:
+        e, y, _ = _rank_deficient_instance(shape)
+    else:
+        e, y = _wide_instance("gaussian", *shape, 11)
     equality = solve_l1_equality(e, y)
     for eta in (1e-9, 3e-10, 1e-10, 1e-12):
         report = solve_l1_noisy(e, y, eta)
@@ -1124,7 +1205,7 @@ def test_tolerances_govern_both_programs(monkeypatch):
 
     equality = [solve_l1_equality(e, y, cfg) for cfg in configs]
     polished = [ball(cfg) for cfg in configs]
-    monkeypatch.setattr(solver, "_polish_ball", lambda *args: None)
+    monkeypatch.setattr(solver, "_polish", lambda *args: None)
     unpolished = [ball(cfg) for cfg in configs]
     assert all(r.converged for r in equality + polished + unpolished)
     for reports in (equality, unpolished):
