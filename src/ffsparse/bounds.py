@@ -31,17 +31,6 @@ __all__ = [
     "THEOREM_IDS",
 ]
 
-THEOREM_IDS = (
-    "bernoulli_fixed_support",
-    "gaussian_fixed_support",
-    "bernoulli_max_coherence",
-    "bernoulli_noisy",
-    "gaussian_noisy",
-    "gram_conditioning",
-    "cross_gram",
-)
-
-
 @dataclass(frozen=True)
 class ComplexityEstimate:
     """A required-m evaluation for one recovery statement."""
@@ -199,48 +188,37 @@ def cross_gram_tail(m: int, t: float, incoh_row_rms: float, n: int, s: int, k: i
     return _exp_tail(2.0 * (s + 1) * n * k, t**2 * m, 3.0 * incoh_row_rms**2)
 
 
+# (id, required-m function, the incoherence input it reads) for the five
+# statements of the form f(incoherence, N, s, k, eps, const); the noisy
+# statements reuse the noiseless sample-size conditions
+_STATEMENTS = (
+    ("bernoulli_fixed_support", m_nonuniform_bernoulli, "incoh_row_sum"),
+    ("gaussian_fixed_support", m_gaussian, "max_coherence"),
+    ("bernoulli_max_coherence", m_corollary, "max_coherence"),
+    ("bernoulli_noisy", m_nonuniform_bernoulli, "incoh_row_sum"),
+    ("gaussian_noisy", m_gaussian, "max_coherence"),
+)
+
+THEOREM_IDS = tuple(sid for sid, _, _ in _STATEMENTS) + ("gram_conditioning", "cross_gram")
+
+
 def complexity_table(n: int, s: int, k: int, eps: float, *, incoh_row_sum: float,
                      max_coherence: float, incoh_row_rms: float, incoh_row_rms_sub: float,
                      incoh_spectral_sub: float, const: float = 1.0,
                      delta: float = 0.5) -> list[ComplexityEstimate]:
-    """Evaluate every required-m condition for one (frame, support) setting."""
+    """Evaluate every required-m condition for one (frame, support) setting,
+    in ``THEOREM_IDS`` order."""
     common = {"N": n, "s": s, "k": k, "eps": eps, "const": const}
-    rows = [
-        ComplexityEstimate(
-            "bernoulli_fixed_support",
-            m_nonuniform_bernoulli(incoh_row_sum, n, s, k, eps, const),
-            {**common, "incoh_row_sum": incoh_row_sum},
-        ),
-        ComplexityEstimate(
-            "gaussian_fixed_support",
-            m_gaussian(max_coherence, n, s, k, eps, const),
-            {**common, "max_coherence": max_coherence},
-        ),
-        ComplexityEstimate(
-            "bernoulli_max_coherence",
-            m_corollary(max_coherence, n, s, k, eps, const),
-            {**common, "max_coherence": max_coherence},
-        ),
-        ComplexityEstimate(
-            "bernoulli_noisy",
-            m_nonuniform_bernoulli(incoh_row_sum, n, s, k, eps, const),
-            {**common, "incoh_row_sum": incoh_row_sum},
-        ),
-        ComplexityEstimate(
-            "gaussian_noisy",
-            m_gaussian(max_coherence, n, s, k, eps, const),
-            {**common, "max_coherence": max_coherence},
-        ),
-        ComplexityEstimate(
-            "gram_conditioning",
-            m_submatrix(incoh_row_rms_sub, incoh_spectral_sub, s, k, delta, eps),
-            {**common, "incoh_row_rms_sub": incoh_row_rms_sub,
-             "incoh_spectral_sub": incoh_spectral_sub, "delta": delta},
-        ),
-        ComplexityEstimate(
-            "cross_gram",
-            m_cross_gram(incoh_row_rms, n, s, k, eps),
-            {**common, "incoh_row_rms": incoh_row_rms},
-        ),
-    ]
+    incoh = {"incoh_row_sum": incoh_row_sum, "max_coherence": max_coherence}
+    rows = [ComplexityEstimate(sid, required(incoh[name], n, s, k, eps, const),
+                               {**common, name: incoh[name]})
+            for sid, required, name in _STATEMENTS]
+    rows.append(ComplexityEstimate(
+        "gram_conditioning",
+        m_submatrix(incoh_row_rms_sub, incoh_spectral_sub, s, k, delta, eps),
+        {**common, "incoh_row_rms_sub": incoh_row_rms_sub,
+         "incoh_spectral_sub": incoh_spectral_sub, "delta": delta}))
+    rows.append(ComplexityEstimate(
+        "cross_gram", m_cross_gram(incoh_row_rms, n, s, k, eps),
+        {**common, "incoh_row_rms": incoh_row_rms}))
     return rows

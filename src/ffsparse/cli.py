@@ -288,7 +288,7 @@ def certificate(fr, kind, measurements, sparsity, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--trials", type=int, default=None, help="Override the spec's trial count.")
 @click.option("--base-seed", type=_SEED, default=None, help="Override the spec's base seed.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 def experiment(name, spec_path, out, trials, base_seed, threads):
     """Run one experiment from a JSON spec and write trial rows as CSV
     (plus a .dat summary next to it)."""

@@ -105,6 +105,7 @@ class ExperimentSpec:
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 _REQUIRED_FIELDS = {"name", "N", "d", "k"}
+_GRIDS = tuple(f.name for f in dataclasses.fields(ExperimentSpec) if f.name.endswith("_list"))
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
@@ -180,6 +181,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
     for grid_name in experiment.grids:
         if not getattr(spec, grid_name):
             raise SpecValidationError(f"{spec.name} requires a nonempty {grid_name}")
+    for grid_name in _GRIDS:
+        values = getattr(spec, grid_name)
+        if values and grid_name not in experiment.grids + experiment.optional_grids:
+            raise SpecValidationError(f"{spec.name} does not read {grid_name}")
+        if len(values) > 1 and grid_name in experiment.single:
+            raise SpecValidationError(f"{spec.name} reads one value of {grid_name}, "
+                                      f"got {len(values)}")
     for rejects, message in experiment.rejects:
         if rejects(spec):
             raise SpecValidationError(message)
@@ -514,6 +522,8 @@ def _contingency_summary(spec, summary, rows) -> tuple[list, list]:
 class _Experiment:
     grids: tuple  # spec grids that must be nonempty, checked in this order
     cells: Callable  # spec -> cell dicts in cell-index order
+    single: tuple = ()  # grids of which only the first value is read: one allowed
+    optional_grids: tuple = ()  # grids also read when nonempty; any other must be empty
     rejects: tuple = ()  # (spec -> bool, message): grid checks past nonemptiness
     signal: Callable = _sparse  # (spec, cell, frame, rng) -> the cell's signal
     programs: tuple = (("FF", equality_program),)  # (row label, program) per trial
@@ -533,21 +543,24 @@ _EXPERIMENTS = {
         programs=(("FF", equality_program), ("block", baseline_program)),
         summarize=_minimal_m_summary),
     "m_vs_lambda_eff": _Experiment(
-        grids=("d_list", "m_list", "s_list"), cells=_group_cells,
+        grids=("d_list", "m_list", "s_list"), single=("s_list",), cells=_group_cells,
         summarize=_trend_summary, minimal_m_search=True),
     "stable_theta": _Experiment(
-        grids=("s_list", "m_list"), cells=_group_cells, signal=_compressible),
+        grids=("s_list", "m_list"), single=("s_list",), optional_grids=("d_list",),
+        cells=_group_cells, signal=_compressible),
     "noisy_sigma": _Experiment(
-        grids=("s_list", "m_list", "sigma_list"), cells=_noise_cells,
+        grids=("s_list", "m_list", "sigma_list"), single=("s_list", "m_list"),
+        optional_grids=("d_list",), cells=_noise_cells,
         rejects=((lambda spec: any(v < 0 for v in spec.sigma_list),
                   "sigma values must be nonnegative"),),
         programs=(("FF", noisy_program),), summarize=_noise_fit_summary),
     "power_law_q": _Experiment(
-        grids=("q_list", "m_list"), cells=_power_law_cells,
+        grids=("q_list", "m_list"), single=("m_list",), optional_grids=("d_list",),
+        cells=_power_law_cells,
         rejects=((lambda spec: any(v <= 0 for v in spec.q_list), "q values must be positive"),),
         signal=_power_law),
     "certificate_audit": _Experiment(
-        grids=("s_list", "m_list"), cells=_audit_cells,
+        grids=("s_list", "m_list"), single=("s_list",), cells=_audit_cells,
         rejects=((lambda spec: spec.s_list[0] < 1, "certificate_audit needs s >= 1"),),
         run_cell=_run_audit_cell, summarize=_contingency_summary, columns=AUDIT_COLUMNS),
 }
@@ -637,24 +650,20 @@ def _write_dat(path: Path, spec: ExperimentSpec, summary: dict, summary_lines: l
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _run_cell_job(args) -> list[TrialRecord]:
-    spec, cell, frame = args
-    return _EXPERIMENTS[spec.name].run_cell(spec, cell, frame)
-
-
-def _run_trend_group(args) -> list[TrialRecord]:
-    """One minimal-m search: run the group's cells in ascending-m order and
-    stop after the first cell that reaches the success threshold.  Cell
-    indices (and therefore seeds) are fixed by the full grid, so the rows are
-    identical to what a full sweep would have produced for the visited cells.
-    """
+def _run_job(args) -> list[TrialRecord]:
+    """Run a job's cells in ascending m.  A job is one cell, or one frame
+    group under the minimal-m search, which stops after the first cell that
+    reaches the success threshold.  Cell indices (and therefore seeds) are
+    fixed by the full grid, so the visited cells' rows are those of a full
+    sweep."""
     spec, cells, frame = args
+    experiment = _EXPERIMENTS[spec.name]
     needed = math.ceil(spec.success_threshold * spec.trials - 1e-9)
     rows: list[TrialRecord] = []
     for cell in sorted(cells, key=lambda c: c["m"]):
-        cell_rows = _EXPERIMENTS[spec.name].run_cell(spec, cell, frame)
+        cell_rows = experiment.run_cell(spec, cell, frame)
         rows.extend(cell_rows)
-        if sum(r.success for r in cell_rows) >= needed:
+        if experiment.minimal_m_search and sum(r.success for r in cell_rows) >= needed:
             break
     return rows
 
@@ -671,27 +680,23 @@ def run_experiment(spec: ExperimentSpec, out_csv=None, threads: int = 1,
     validate_spec(spec)
     experiment = _EXPERIMENTS[spec.name]
     cells = _cells(spec)
-    runnable = [cell for cell in cells if cell["m"] >= 1]  # _aggregate notes the rest
-    # one frame per group, shared by its cells
+    # one frame per group, shared by its cells; cells with m < 1 are left
+    # out (_aggregate notes them)
     frames: dict[int, FusionFrame] = {}
-    for cell in runnable:
+    jobs: dict[int, tuple] = {}
+    for cell in cells:
+        if cell["m"] < 1:
+            continue
         if cell["group"] not in frames:
             frames[cell["group"]] = _group_frame(spec, cell)
-    if experiment.minimal_m_search:
-        groups: dict[int, list[dict]] = {}
-        for cell in runnable:
-            groups.setdefault(cell["group"], []).append(cell)
-        jobs = [(spec, group_cells, frames[g_idx]) for g_idx, group_cells in sorted(groups.items())]
-        worker = _run_trend_group
-    else:
-        jobs = [(spec, cell, frames[cell["group"]]) for cell in runnable]
-        worker = _run_cell_job
+        key = cell["group"] if experiment.minimal_m_search else cell["index"]
+        jobs.setdefault(key, (spec, [], frames[cell["group"]]))[1].append(cell)
 
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, jobs))
+            results = list(pool.map(_run_job, jobs.values()))
     else:
-        results = [worker(job) for job in jobs]
+        results = [_run_job(job) for job in jobs.values()]
 
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=lambda r: (r.cell_index, r.trial_index, r.program))

@@ -4,9 +4,11 @@ A fusion frame here is N subspaces of R^d, each of dimension k, stored via
 orthonormal bases.  The incoherence matrix collects the pairwise spectral
 norms of projector products, which equal the largest cosines of principal
 angles between the subspaces; its restricted row sums drive every sample
-complexity bound in this package.  The cross-Gram holds the products
-U_i^T U_j themselves; the measurement layer builds the Gram of its
-coefficient operator from it.
+complexity bound in this package.  A frame keeps one coherence matrix,
+filled on demand: ``lambda_eff`` computes only the pairs in its support's
+columns and ``incoherence`` the rest, each pair once per frame.  The
+cross-Gram holds the products U_i^T U_j themselves; the measurement layer
+builds the Gram of its coefficient operator from it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+# pairs per batched matmul and SVD in _coherences: one batch for all pairs
+# leaves the products out of cache, and at N = 180, k = 3 ran slower than a
+# batch per row
+_PAIR_BATCH = 2048
 
 
 class FusionFrame:
@@ -46,8 +52,7 @@ class FusionFrame:
     weights (default 1); they enter only the frame-bound diagnostics.
     """
 
-    __slots__ = ("_bases", "_weights", "_seed", "_incoherence_cache", "_cross_gram_cache",
-                 "_coherence_columns")
+    __slots__ = ("_bases", "_weights", "_seed", "_coherence", "_cross_gram_cache")
 
     def __init__(self, bases, weights: Optional[Sequence[float]] = None, seed: Optional[int] = None):
         arr = np.array(bases, dtype=float, copy=True)
@@ -72,9 +77,10 @@ class FusionFrame:
         self._bases = arr
         self._weights = w
         self._seed = seed
-        self._incoherence_cache: Optional["IncoherenceMatrix"] = None
+        # the pairwise coherences computed so far, NaN where not yet computed;
+        # allocated on first use and pickled with the frame
+        self._coherence: Optional[np.ndarray] = None
         self._cross_gram_cache: Optional[np.ndarray] = None
-        self._coherence_columns: dict[int, np.ndarray] = {}
 
     @property
     def n_subspaces(self) -> int:
@@ -244,39 +250,37 @@ def frame_bounds(frame: FusionFrame) -> tuple[float, float]:
     return float(max(ev[0], 0.0)), float(ev[-1])
 
 
+def _coherences(frame: FusionFrame, columns) -> np.ndarray:
+    """The frame's coherence matrix with every pair in the given columns
+    computed (other entries may still be NaN).
+
+    Each pair (i, j), i < j, is computed once per frame from the k x k
+    product U_i^T U_j: the missing pairs go through batched matmuls and
+    batched SVDs of _PAIR_BATCH pairs each."""
+    n = frame.n_subspaces
+    entries = frame._coherence
+    if entries is None:
+        entries = frame._coherence = np.full((n, n), np.nan)
+        np.fill_diagonal(entries, 0.0)
+    wanted = np.zeros(n, dtype=bool)
+    wanted[columns] = True
+    if np.isnan(entries[:, wanted]).any():
+        lo, hi = np.nonzero(np.triu(np.isnan(entries) & (wanted[:, None] | wanted), 1))
+        top = np.empty(lo.size)
+        for start in range(0, lo.size, _PAIR_BATCH):
+            batch = slice(start, start + _PAIR_BATCH)
+            products = np.matmul(frame.bases[lo[batch]].transpose(0, 2, 1),
+                                 frame.bases[hi[batch]])
+            top[batch] = np.linalg.svd(products, compute_uv=False)[:, 0]
+        entries[lo, hi] = entries[hi, lo] = np.minimum(top, 1.0)
+    return entries
+
+
 def incoherence(frame: FusionFrame) -> IncoherenceMatrix:
     """Pairwise coherences ||P_i P_j|| computed from the k x k products
-    U_i^T U_j (equivalent because the bases are orthonormal).  Cached.
-
-    Row i takes the products with all later bases in one batched matmul and
-    their largest singular values in one batched SVD, so temporaries stay
-    O(N k^2) per row."""
-    if frame._incoherence_cache is not None:
-        return frame._incoherence_cache
-    n = frame.n_subspaces
-    bases = frame.bases
-    entries = np.zeros((n, n))
-    for i in range(n - 1):
-        products = np.matmul(bases[i].T, bases[i + 1:])
-        top = np.minimum(np.linalg.svd(products, compute_uv=False)[:, 0], 1.0)
-        entries[i, i + 1:] = entries[i + 1:, i] = top
-    result = IncoherenceMatrix(entries)
-    frame._incoherence_cache = result
-    return result
-
-
-def _coherence_column(frame: FusionFrame, j: int) -> np.ndarray:
-    """Column j of ``incoherence(frame)`` with the same bits: entry (i, j)
-    comes from the lower index's basis transposed times the higher's, as in
-    the full matrix, through one batched matmul per side and one batched
-    SVD."""
-    bases = frame.bases
-    products = np.concatenate((np.matmul(bases[:j].transpose(0, 2, 1), bases[j]),
-                               np.matmul(bases[j].T, bases[j + 1:])))
-    top = np.minimum(np.linalg.svd(products, compute_uv=False)[:, 0], 1.0)
-    column = np.zeros(top.size + 1)
-    column[:j], column[j + 1:] = top[:j], top[j:]
-    return column
+    U_i^T U_j (equivalent because the bases are orthonormal); each pair is
+    computed once per frame."""
+    return IncoherenceMatrix(_coherences(frame, slice(None)))
 
 
 def lambda_max(incoh: IncoherenceMatrix) -> float:
@@ -320,19 +324,15 @@ def lambda_eff(source: IncoherenceMatrix | FusionFrame, support: BlockSupport) -
     """Normalized incoherence of a support: max row sum over S divided by |S|.
 
     ``source`` is an IncoherenceMatrix or a FusionFrame.  From a frame, only
-    the support's columns of its incoherence matrix are computed (and cached
-    on the frame), and they are summed column by column, the order of the
-    row sums over a full matrix, so both give the same bits."""
+    the pairs in the support's columns of its incoherence matrix are
+    computed, each once per frame, with the bits of the full matrix."""
     if isinstance(source, FusionFrame):
-        idx = _support_indices(support, source.n_subspaces).tolist()
-        columns = source._coherence_columns
-        for j in idx:
-            if j not in columns:
-                columns[j] = _coherence_column(source, j)
-        row_sums = np.stack([columns[j] for j in idx]).sum(axis=0)
+        idx = _support_indices(support, source.n_subspaces)
+        entries = _coherences(source, idx)
     else:
-        row_sums = source.entries[:, _support_indices(support, source.n)].sum(axis=1)
-    return float(row_sums.max()) / support.size
+        idx = _support_indices(support, source.n)
+        entries = source.entries
+    return float(entries[:, idx].sum(axis=1).max()) / support.size
 
 
 def frame_to_json(frame: FusionFrame) -> str:

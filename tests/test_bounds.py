@@ -211,3 +211,25 @@ def test_complexity_table_covers_all_statements():
     # the noisy statements reuse the noiseless sample-size conditions
     assert by_id["bernoulli_noisy"].m_required == by_id["bernoulli_fixed_support"].m_required
     assert by_id["gaussian_noisy"].m_required == by_id["gaussian_fixed_support"].m_required
+
+
+def test_complexity_table_rows_match_their_formulas():
+    # every row, its required m and its inputs, against a direct call; the
+    # values are distinct, so a row reading the wrong input shows
+    n, s, k, eps, const, delta = 60, 4, 2, 0.1, 1.7, 0.4
+    rows = complexity_table(
+        n, s, k, eps, incoh_row_sum=2.0, max_coherence=0.8, incoh_row_rms=1.2,
+        incoh_row_rms_sub=1.0, incoh_spectral_sub=1.1, const=const, delta=delta)
+    common = {"N": n, "s": s, "k": k, "eps": eps, "const": const}
+    row_sum = {**common, "incoh_row_sum": 2.0}
+    coherence = {**common, "max_coherence": 0.8}
+    assert [(r.theorem_id, r.m_required, r.inputs) for r in rows] == [
+        ("bernoulli_fixed_support", m_nonuniform_bernoulli(2.0, n, s, k, eps, const), row_sum),
+        ("gaussian_fixed_support", m_gaussian(0.8, n, s, k, eps, const), coherence),
+        ("bernoulli_max_coherence", m_corollary(0.8, n, s, k, eps, const), coherence),
+        ("bernoulli_noisy", m_nonuniform_bernoulli(2.0, n, s, k, eps, const), row_sum),
+        ("gaussian_noisy", m_gaussian(0.8, n, s, k, eps, const), coherence),
+        ("gram_conditioning", m_submatrix(1.0, 1.1, s, k, delta, eps),
+         {**common, "incoh_row_rms_sub": 1.0, "incoh_spectral_sub": 1.1, "delta": delta}),
+        ("cross_gram", m_cross_gram(1.2, n, s, k, eps), {**common, "incoh_row_rms": 1.2}),
+    ]

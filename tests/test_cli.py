@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from ffsparse import relative_error
 from ffsparse.cli import main
+
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def run(*args):
@@ -328,3 +331,28 @@ def test_experiment_infeasible_config(tmp_path):
     result = run("experiment", "phase_transition", "--spec", str(spec_path),
                  "--out", str(tmp_path / "o.csv"))
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("spec_name, fields", [
+    ("desk_noisy_sigma", {"m_list": [16, 32]}),
+    ("desk_certificate_audit", {"s_list": [4, 8], "sigma_list": [0.0, 0.1]}),
+], ids=["two_m_values", "two_s_values_and_sigmas"])
+def test_experiment_rejects_grids_it_would_ignore(tmp_path, spec_name, fields):
+    # noisy_sigma reads one m, and certificate_audit one s and no sigma: a
+    # run would drop the extra values without a word
+    doc = json.loads((SPECS_DIR / f"{spec_name}.json").read_text())
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**doc, **fields}))
+    result = run("experiment", doc["name"], "--spec", str(spec_path),
+                 "--out", str(tmp_path / "o.csv"))
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_experiment_rejects_nonpositive_threads(tmp_path, threads):
+    result = run("experiment", "phase_transition", "--spec",
+                 str(SPECS_DIR / "desk_phase_transition.json"),
+                 "--out", str(tmp_path / "o.csv"), "--threads", threads)
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "o.csv").exists()

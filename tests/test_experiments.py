@@ -86,6 +86,42 @@ def test_validate_infeasible_dimensions():
         validate_spec(tiny_spec(trials=1500))
 
 
+# per experiment: its smallest valid grids, the grids its cells read, and
+# those of which only the one value is read
+_GRID_USE = {
+    "phase_transition": (dict(s_list=[1], m_list=[2]), {"s_list", "m_list"}, set()),
+    "ff_vs_block": (dict(s_list=[1], m_list=[2]), {"s_list", "m_list"}, set()),
+    "m_vs_lambda_eff": (dict(s_list=[1], m_list=[2], d_list=[3]),
+                        {"s_list", "m_list", "d_list"}, {"s_list"}),
+    "stable_theta": (dict(s_list=[1], m_list=[2]), {"s_list", "m_list", "d_list"}, {"s_list"}),
+    "noisy_sigma": (dict(s_list=[1], m_list=[2], sigma_list=[0.0]),
+                    {"s_list", "m_list", "d_list", "sigma_list"}, {"s_list", "m_list"}),
+    "power_law_q": (dict(m_list=[2], q_list=[0.5]), {"m_list", "d_list", "q_list"}, {"m_list"}),
+    "certificate_audit": (dict(s_list=[1], m_list=[2]), {"s_list", "m_list"}, {"s_list"}),
+}
+_TWO_VALUES = {"s_list": [1, 2], "m_list": [2, 3], "d_list": [3, 4],
+               "sigma_list": [0.0, 0.1], "q_list": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_USE))
+def test_validate_rejects_unread_grids_and_extra_values(name):
+    # a grid the cells do not read, or a second value of a grid read for its
+    # first value only, would be silently ignored: both are rejected
+    grids, read, single = _GRID_USE[name]
+    empty = dict.fromkeys(_TWO_VALUES, [])
+    validate_spec(tiny_spec(**{**empty, **grids, "name": name}))
+    for grid, values in _TWO_VALUES.items():
+        spec = tiny_spec(**{**empty, **grids, grid: values, "name": name})
+        if grid not in read:
+            with pytest.raises(SpecValidationError, match=f"does not read {grid}"):
+                validate_spec(spec)
+        elif grid in single:
+            with pytest.raises(SpecValidationError, match=f"one value of {grid}"):
+                validate_spec(spec)
+        else:
+            validate_spec(spec)
+
+
 def test_bundled_specs_parse():
     for path in sorted(SPECS_DIR.glob("*.json")):
         spec = spec_from_json(path.read_text(encoding="utf-8"))
@@ -347,13 +383,14 @@ def test_each_group_frame_is_built_once(spec, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("spec", [
     tiny_spec(s_list=[1, 2], m_list=[2, 4, 6]),
-    ExperimentSpec(name="certificate_audit", N=10, d=4, k=2, s_list=[2, 3], m_list=[3, 6],
+    ExperimentSpec(name="certificate_audit", N=10, d=4, k=2, s_list=[2], m_list=[3, 6],
                    trials=3, base_seed=14),
 ], ids=["phase_transition", "certificate_audit"])
 def test_sweeps_compute_support_columns_once_per_frame(spec, monkeypatch):
-    # lambda_eff reads only its support's columns of the incoherence matrix:
-    # a sweep never builds the full matrix, and each group frame computes a
-    # column at most once, however many cells and trials share it
+    # lambda_eff computes only the pairs in its support's columns of the
+    # incoherence matrix: a sweep never builds the full matrix, and each
+    # group frame computes a pair at most once, however many cells and
+    # trials share it
     import sys
 
     import ffsparse.experiments as experiments
@@ -363,16 +400,20 @@ def test_sweeps_compute_support_columns_once_per_frame(spec, monkeypatch):
         raise AssertionError("the full incoherence matrix was built")
 
     computed = []
-    original = frames._coherence_column
+    original = frames._coherences
 
-    def recording_column(frame, j):
-        computed.append((frame.seed, j))
-        return original(frame, j)
+    def recording_coherences(frame, columns):
+        before = np.ones((spec.N, spec.N), dtype=bool) if frame._coherence is None \
+            else np.isnan(frame._coherence)
+        entries = original(frame, columns)
+        pairs = np.nonzero(np.triu(before & ~np.isnan(entries), 1))
+        computed.extend((frame.seed, int(i), int(j)) for i, j in zip(*pairs))
+        return entries
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ffsparse") and hasattr(module, "incoherence"):
             monkeypatch.setattr(module, "incoherence", no_full_matrix)
-    monkeypatch.setattr(frames, "_coherence_column", recording_column)
+    monkeypatch.setattr(frames, "_coherences", recording_coherences)
     rows = run_experiment(spec).rows
     monkeypatch.undo()
     assert computed and len(set(computed)) == len(computed)

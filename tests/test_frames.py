@@ -215,8 +215,31 @@ def test_pickled_frame_keeps_incoherence():
     fr = random_frame(10, 4, 2, seed=5)
     incoh = incoherence(fr)
     copy = pickle.loads(pickle.dumps(fr))
-    assert copy._incoherence_cache is not None
+    assert copy._coherence is not None and not np.isnan(copy._coherence).any()
     assert np.array_equal(incoherence(copy).entries, incoh.entries)
+
+
+def test_each_coherence_pair_is_computed_once(monkeypatch):
+    # whatever the order of calls, one frame and its pickled copies compute
+    # each of the N(N-1)/2 pairs once: lambda_eff only its support's pairs,
+    # incoherence the rest
+    n = 12
+    fr = random_frame(n, 4, 2, seed=6)
+    computed = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        computed.append(len(a))  # one k x k product per pair
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    s = 3
+    lambda_eff(fr, BlockSupport([0, 5, 11]))
+    assert sum(computed) == s * (n - s) + s * (s - 1) // 2
+    incoh = incoherence(fr)
+    copy = pickle.loads(pickle.dumps(fr))
+    assert np.array_equal(incoherence(copy).entries, incoh.entries)
+    assert sum(computed) == n * (n - 1) // 2
 
 
 def test_cross_gram_blocks_and_pickle():
@@ -331,21 +354,24 @@ def test_lambda_eff_near_point_six_for_lines_in_r3():
 
 @pytest.mark.parametrize("shape", [(40, 3, 1), (30, 6, 2), (25, 7, 3)])
 def test_lambda_eff_from_support_columns_matches_full_matrix(shape):
-    # from a frame, lambda_eff reads only the support's columns, cached on the
-    # frame, and gives the bits of the full matrix's row sums
+    # from a frame, lambda_eff computes only the pairs in its support's
+    # columns, kept on the frame, and gives the bits of the full matrix's row
+    # sums
     n = shape[0]
     rng = np.random.default_rng(n)
-    supports = [[0], [n - 1], [0, n - 1], list(range(n)),
-                *(rng.choice(n, size=s, replace=False) for s in (2, 7, 10, 17))]
+    supports = [[0], [n - 1], [0, n - 1],
+                *(rng.choice(n, size=s, replace=False) for s in (2, 7, 10, 17)), list(range(n))]
     full = incoherence(random_frame(*shape, seed=n))
     fr = random_frame(*shape, seed=n)
+    seen = np.zeros(n, dtype=bool)
     for indices in supports:
         support = BlockSupport(indices)
         assert lambda_eff(fr, support) == lambda_eff(full, support)
-    assert fr._incoherence_cache is None
-    assert sorted(fr._coherence_columns) == list(range(n))
-    for j, column in fr._coherence_columns.items():
-        assert np.array_equal(column, full.entries[:, j])
+        seen[support.indices] = True
+        done = ~np.isnan(fr._coherence)
+        assert np.array_equal(done, seen[:, None] | seen | np.eye(n, dtype=bool))
+        assert np.array_equal(fr._coherence[done], full.entries[done])
+    assert np.array_equal(fr._coherence, full.entries)
     with pytest.raises(ValueError):
         lambda_eff(fr, BlockSupport([]))
     with pytest.raises(IndexError):
